@@ -137,7 +137,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str | None = None) -> int:
     _write_solution_files(out_dir or cfg.output_dir, grid, models, path)
     if not path.reached_one:
         print(f"continuation stopped: {path.status} at "
-              f"lambda={path.steps[-1].lam:.6g}", file=sys.stderr)
+              f"lambda={path.steps[-1].lam:.6g}: {path.reason}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 

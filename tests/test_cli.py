@@ -111,7 +111,9 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(path),
                      "--out", str(tmp_path / "o")])
         assert code == 3
-        assert "step_underflow" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "step_underflow" in err
+        assert "no convergence in 1 iterations" in err
 
     def test_deterministic_outputs(self, fast_config, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

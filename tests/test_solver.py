@@ -5,11 +5,37 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import default_models, smooth_field
+from mfglab import solver
 from mfglab.grid import TorusGrid
-from mfglab.solver import (ContinuationConfig, NewtonConfig,
+from mfglab.solver import (ContinuationConfig, LaggedLU, NewtonConfig,
                            NewtonDivergenceError, SingularSystemError,
-                           continuation_run, newton_solve, solve_direct)
-from mfglab.system import MFGState, residual
+                           backward_error, continuation_run, gmres,
+                           newton_solve, solve_direct)
+from mfglab.system import MFGState, assemble_jacobian, residual
+
+
+def count_factorizations(monkeypatch) -> list:
+    """Record every LU factorization the solver makes from now on."""
+    calls = []
+    real = solver.splu
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return real(matrix)
+    monkeypatch.setattr(solver, "splu", counted)
+    return calls
+
+
+def jacobian_2d(n: int = 16) -> sp.csr_matrix:
+    """Newton matrix of the default problem at a perturbed 2D state."""
+    grid = TorusGrid(2, n)
+    models = default_models(grid)
+    base = models.trivial_state()
+    rng = np.random.default_rng(4)
+    state = MFGState(grid, base.u + 0.1 * smooth_field(grid, rng),
+                     base.m * (1.0 + 0.05 * np.tanh(smooth_field(grid, rng))),
+                     0.5)
+    return assemble_jacobian(state, models)
 
 
 class TestSolveDirect:
@@ -34,6 +60,130 @@ class TestSolveDirect:
         mat[3, :] = mat[4, :]
         with pytest.raises(SingularSystemError):
             solve_direct(mat.tocsr(), np.ones(8))
+
+
+class TestGmres:
+    @staticmethod
+    def system(n: int = 30):
+        rng = np.random.default_rng(5)
+        mat = 4.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+        assert not np.allclose(mat, mat.T)
+        return mat, rng.standard_normal(n)
+
+    def test_exact_preconditioner_converges_in_one_iteration(self):
+        mat, rhs = self.system()
+        inv = np.linalg.inv(mat)
+        x, iters, _ = gmres(mat.__matmul__, inv.__matmul__, rhs, 20, 1e-12)
+        assert iters == 1
+        assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_identity_preconditioner_matches_dense_solve(self):
+        mat, rhs = self.system()
+        x, _, _ = gmres(mat.__matmul__, lambda v: v, rhs, 30, 1e-15)
+        assert np.max(np.abs(x - np.linalg.solve(mat, rhs))) <= 1e-12
+
+    @pytest.mark.parametrize("max_iters", [1, 3, 6, 12])
+    def test_residual_estimate_is_the_true_residual(self, max_iters):
+        mat, rhs = self.system()
+        x, iters, estimate = gmres(mat.__matmul__, lambda v: v, rhs,
+                                   max_iters, 1e-15)
+        assert iters == max_iters
+        true = np.linalg.norm(mat @ x - rhs)
+        assert estimate == pytest.approx(true, rel=1e-8, abs=1e-13)
+
+    def test_zero_rhs_gives_zero(self):
+        mat, _ = self.system()
+        x, iters, estimate = gmres(mat.__matmul__, lambda v: v,
+                                   np.zeros(30), 5, 1e-12)
+        assert iters == 0 and estimate == 0.0 and not np.any(x)
+
+
+class TestLaggedLU:
+    def test_unrelated_cached_factor_triggers_refactor(self, monkeypatch):
+        jac = jacobian_2d()
+        linear = LaggedLU()
+        linear.factor = solver.splu(sp.identity(jac.shape[0], format="csc"))
+        stale = linear.factor
+        calls = count_factorizations(monkeypatch)
+        rhs = np.random.default_rng(6).standard_normal(jac.shape[0])
+        x = linear.solve(jac, rhs)
+        assert len(calls) == 1
+        assert backward_error(jac, x, rhs) <= 1e-10
+        assert linear.factor is not None and linear.factor is not stale
+
+    def test_held_factor_solves_a_nearby_matrix_without_refactoring(
+            self, monkeypatch):
+        jac = jacobian_2d()
+        linear = LaggedLU()
+        rhs = np.random.default_rng(7).standard_normal(jac.shape[0])
+        linear.solve(jac, rhs)
+        calls = count_factorizations(monkeypatch)
+        nearby = (jac + 0.01 * sp.diags(np.cos(np.arange(jac.shape[0])))).tocsr()
+        x = linear.solve(nearby, rhs)
+        assert calls == []
+        assert backward_error(nearby, x, rhs) <= 1e-10
+
+    def test_singular_matrix_raises_with_cached_factor(self):
+        jac = jacobian_2d()
+        linear = LaggedLU()
+        rhs = np.random.default_rng(8).standard_normal(jac.shape[0])
+        linear.solve(jac, rhs)
+        assert linear.factor is not None
+        singular = jac.tolil()
+        singular[3, :] = singular[4, :]
+        with pytest.raises(SingularSystemError):
+            linear.solve(singular.tocsr(), rhs)
+
+    def test_failed_factorization_clears_cache(self, monkeypatch):
+        jac = jacobian_2d()
+        linear = LaggedLU()
+        rhs = np.random.default_rng(9).standard_normal(jac.shape[0])
+        linear.solve(jac, rhs)
+        singular = jac.tolil()
+        singular[:, 3] = 0.0
+        with pytest.raises(SingularSystemError, match="factorization failed"):
+            linear.solve(singular.tocsr(), rhs)
+        assert linear.factor is None
+        calls = count_factorizations(monkeypatch)
+        linear.solve(jac, rhs)
+        assert len(calls) == 1
+
+    def test_banded_factor_is_not_held(self):
+        grid = TorusGrid(1, 64)
+        models = default_models(grid)
+        jac = assemble_jacobian(models.trivial_state(), models)
+        linear = LaggedLU()
+        x = linear.solve(jac, np.ones(jac.shape[0]))
+        assert linear.factor is None
+        assert backward_error(jac, x, np.ones(jac.shape[0])) <= 1e-10
+
+
+class TestFactorReuse:
+    @staticmethod
+    def run():
+        return continuation_run(default_models(TorusGrid(2, 16)))
+
+    def test_fewer_factorizations_than_newton_iterations(self, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        path = self.run()
+        assert path.reached_one
+        assert len(calls) < path.total_iters
+
+    def test_matches_refactoring_at_every_iteration(self, monkeypatch):
+        path = self.run()
+        monkeypatch.setattr(LaggedLU, "solve",
+                            lambda self, matrix, rhs: solve_direct(matrix, rhs))
+        calls = count_factorizations(monkeypatch)
+        reference = self.run()
+        assert len(calls) == reference.total_iters
+        assert path.lambdas == reference.lambdas
+        final, ref = path.final_state, reference.final_state
+        assert np.max(np.abs(final.u - ref.u)) <= 1e-10
+        assert np.max(np.abs(final.m - ref.m)) <= 1e-10
+
+    def test_runs_are_bit_identical(self):
+        s1, s2 = self.run().final_state, self.run().final_state
+        assert np.array_equal(s1.u, s2.u) and np.array_equal(s1.m, s2.m)
 
 
 class TestNewton:
@@ -107,6 +257,7 @@ class TestContinuation:
         path = continuation_run(models, NewtonConfig(max_iters=1))
         assert path.status == "step_underflow"
         assert path.lambdas == [0.0]  # retains the last successful weight
+        assert path.reason.startswith("no convergence in 1 iterations")
 
     def test_fixed_step_failure_reports_divergence(self):
         # with no step adaptation available, the corrector is the blocker
