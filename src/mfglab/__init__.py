@@ -7,7 +7,7 @@ of the continuous problem (mass, energy identity, entropy, inverse
 moments, monotonicity of the linearized operator).
 """
 
-from .grid import ScalarField, TorusGrid, VectorField, read_field_csv, write_field_csv
+from .grid import ScalarField, TorusGrid, read_field_csv, write_field_csv
 from .hamiltonian import (HamiltonianModel, PotentialModel,
                           check_parameter_admissibility, coefficient_field)
 from .solver import (ContinuationConfig, NewtonConfig, SolvePath,
@@ -16,7 +16,7 @@ from .system import MFGModels, MFGState, assemble_jacobian, bilinear_form, resid
 from .diagnostics import DiagnosticsReport, certify, estimate_suite
 
 __all__ = [
-    "TorusGrid", "ScalarField", "VectorField", "read_field_csv",
+    "TorusGrid", "ScalarField", "read_field_csv",
     "write_field_csv", "HamiltonianModel", "PotentialModel",
     "check_parameter_admissibility", "coefficient_field", "MFGModels",
     "MFGState", "residual", "assemble_jacobian", "bilinear_form",

@@ -18,7 +18,8 @@ from .grid import ScalarField, TorusGrid, read_field_csv, write_field_csv
 from .hamiltonian import (HamiltonianModel, audit_assumptions,
                           check_parameter_admissibility, coefficient_field)
 from .solver import ContinuationConfig, NewtonConfig, continuation_run
-from .system import MFGModels, MFGState, PerturbationPair, bilinear_form
+from .system import (MFGModels, MFGState, PerturbationPair, bilinear_form,
+                     linearize)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -187,9 +188,10 @@ def cmd_validate(cfg: RunConfig, fields_dir: str, out_dir: str | None = None) ->
     # monotone-sign bilinear-form spot check over a few fixed perturbations
     mono = MFGModels(grid, models.alpha, models.gamma, models.a, models.b,
                      "monotone")
+    lin = linearize(state, mono)
     rng = np.random.default_rng(0)
     bmax = max(
-        bilinear_form(w, w, state, mono)
+        bilinear_form(w, w, state, mono, lin)
         for w in (PerturbationPair(rng.standard_normal(grid.npoints),
                                    rng.standard_normal(grid.npoints))
                   for _ in range(8)))

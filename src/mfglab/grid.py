@@ -148,27 +148,6 @@ class ScalarField:
                 f"expected {self.grid.npoints} values, got {self.values.size}"
             )
 
-    @classmethod
-    def from_function(cls, grid: TorusGrid, fn) -> "ScalarField":
-        xs = grid.coords()
-        return cls(grid, np.asarray([fn(x) for x in xs], dtype=float))
-
-
-@dataclass
-class VectorField:
-    """R^d-valued samples on a TorusGrid, shape (N, d)."""
-
-    grid: TorusGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.npoints, self.grid.d):
-            raise ValueError(
-                f"expected shape ({self.grid.npoints}, {self.grid.d}), "
-                f"got {self.values.shape}"
-            )
-
 
 # -- serialization ----------------------------------------------------
 

@@ -268,7 +268,7 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
     for it in range(cfg.max_iters):
         if rnorm < cfg.tol_residual:
             return NewtonResult(state, it, rnorm, history)
-        jac = assemble_jacobian(state, models)
+        jac = assemble_jacobian(state, models, res.lin)
         delta = linear.solve(jac, -res.stack())
         n = state.grid.npoints
         du, dm = delta[:n], delta[n:]

@@ -19,6 +19,18 @@ with every Hamiltonian derivative evaluated at (x, Q).  The assembled
 sparse matrix applies exactly this operator, so Newton converges
 quadratically on the discrete system.
 
+A state is evaluated once: `residual` computes the Hamiltonian (with
+its speed inversion) and the pointwise coefficients of the
+linearization together, and returns them on the ResidualPair (`lin`).
+`assemble_jacobian`, `apply_linearized` and `bilinear_form` take such
+a linearization and evaluate afresh only without one.  The Jacobian's
+sparsity pattern depends on the grid alone: `jacobian_template`
+computes it once per grid (cached like `operator_matrices`), with the
+data of the two I - lap blocks and a sparse map S from the stacked
+coefficients c = (DpH, density coupling, m^(1-alpha) DppH, W) to the
+matrix data, so an assembly is data = data0 + S c.  Entries whose
+value vanishes at a state stay in the pattern as explicit zeros.
+
 The swap map P(v, f) = (f, -v) and the bilinear form
 
     B_lam[w1, w2] = integrate( L_lam(w1) . P w2 )
@@ -32,7 +44,7 @@ grad(v) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -68,6 +80,7 @@ class MFGState:
 class ResidualPair:
     r_u: np.ndarray
     r_m: np.ndarray
+    lin: Linearization | None = field(default=None, repr=False, compare=False)
 
     @property
     def sup_norm(self) -> float:
@@ -161,7 +174,7 @@ def operator_matrices(grid: TorusGrid):
 
 
 @dataclass
-class _Linearization:
+class Linearization:
     """Pointwise coefficients of the linearized operator at a state."""
 
     Q: np.ndarray               # (N, d)
@@ -171,71 +184,178 @@ class _Linearization:
     m_scale: np.ndarray         # (N,)  m^(1-alpha)
 
 
-def _linearize(state: MFGState, models: MFGModels) -> _Linearization:
+def _evaluate(state: MFGState, models: MFGModels):
+    """The one Hamiltonian evaluation at a state: (m^alpha, V, linearization)."""
     _check_density(state.m)
-    grid = state.grid
     alpha = models.alpha
-    Du = grid.gradient(state.u)
     ma = state.m**alpha
-    Q = Du / ma[:, None]
+    Q = state.grid.gradient(state.u) / ma[:, None]
     ev = models.hamiltonian(Q, state.lam)
-    _, DmV = models.potential(state.m, state.lam)
+    V, DmV = models.potential(state.m, state.lam)
     q_dot = np.einsum("ki,ki->k", Q, ev.DpH)
     density_coupling = alpha * state.m ** (alpha - 1.0) * (ev.H - q_dot) + DmV
     hess_q = np.einsum("kij,kj->ki", ev.DppH, Q)
     W = ev.DpH - alpha * hess_q
-    return _Linearization(Q, ev, density_coupling, W, state.m ** (1.0 - alpha))
+    lin = Linearization(Q, ev, density_coupling, W, state.m ** (1.0 - alpha))
+    return ma, V, lin
+
+
+def linearize(state: MFGState, models: MFGModels) -> Linearization:
+    """Coefficients of the linearized operator at the given state."""
+    return _evaluate(state, models)[2]
 
 
 def residual(state: MFGState, models: MFGModels) -> ResidualPair:
-    """Discrete residual of the coupled system at the given state."""
-    _check_density(state.m)
+    """Discrete residual of the coupled system at the given state.
+
+    The linearization built along the way rides on the result (`lin`).
+    """
+    ma, V, lin = _evaluate(state, models)
     grid = state.grid
-    Du = grid.gradient(state.u)
-    ma = state.m**models.alpha
-    Q = Du / ma[:, None]
-    ev = models.hamiltonian(Q, state.lam)
-    V, _ = models.potential(state.m, state.lam)
-    r_u = state.u - grid.laplacian(state.u) + ma * ev.H + V
-    flux = ev.DpH * state.m[:, None]
+    r_u = state.u - grid.laplacian(state.u) + ma * lin.ev.H + V
+    flux = lin.ev.DpH * state.m[:, None]
     r_m = state.m - grid.laplacian(state.m) - grid.divergence(flux) - 1.0
-    return ResidualPair(r_u, r_m)
+    return ResidualPair(r_u, r_m, lin)
 
 
-def assemble_jacobian(state: MFGState, models: MFGModels) -> sp.csr_matrix:
+@dataclass(frozen=True, eq=False)
+class JacobianTemplate:
+    """CSR pattern of the Jacobian on one grid and the map onto its data.
+
+    The Jacobian's data at a state is data0 + coef_map @ c, where c stacks
+    N-vectors of pointwise coefficients: DpH[:, ax] for each axis, the
+    density coupling, m^(1-alpha) DppH[:, i, j] for each (i, j) in
+    row-major order, and W[:, ax] for each axis.  data0 holds the two
+    I - lap blocks; column k of coef_map lists the entries c[k] feeds.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data0: np.ndarray
+    coef_map: sp.csc_matrix
+
+
+def _row_steps(matrix, grid: TorusGrid):
+    """(step, value) of each entry in row 0 of a torus operator matrix.
+
+    A step is the column point's multi-index offset (mod n) from the row
+    point.  The operators are translation invariant, so every row holds
+    the same steps.
+    """
+    entries = slice(matrix.indptr[0], matrix.indptr[1])
+    steps = zip(*np.unravel_index(matrix.indices[entries], grid.shape))
+    return [(tuple(int(a) for a in step), float(v))
+            for step, v in zip(steps, matrix.data[entries])]
+
+
+@lru_cache(maxsize=8)
+def jacobian_template(grid: TorusGrid) -> JacobianTemplate:
+    """Pattern and coefficient map of `assemble_jacobian` on a grid.
+
+    Every block is a sum of stencil terms, so the blocks are described
+    once by steps and weights and then laid out for all points.  The
+    pattern is every entry the block formula can reach, so it does not
+    change with the state; entries whose value happens to vanish stay in
+    it as explicit zeros.
+    """
+    N, d, n = grid.npoints, grid.d, grid.n
+    eye, grads, lap = operator_matrices(grid)
+    base = _row_steps(eye - lap, grid)
+    grad_steps = [_row_steps(g, grid) for g in grads]
+    idx = np.arange(N).reshape(grid.shape)
+    shifts = {}
+
+    def shifted(step):
+        """Index of x + step, for every grid point x."""
+        if step not in shifts:
+            shifts[step] = np.roll(idx, [-a for a in step], range(d)).ravel()
+        return shifts[step]
+
+    def plus(s1, s2):
+        return tuple((a + b) % n for a, b in zip(s1, s2))
+
+    # the terms of the u-rows and of the m-rows, each (column block: 0 for
+    # u, 1 for m; column step; coefficient block of c, -1 for a constant;
+    # step from the row point to the coefficient's point; weight)
+    zero = (0,) * d
+    hess, transport = d + 1, d * d + d + 1  # first DppH and W blocks of c
+    u_terms = [(0, s, -1, zero, w) for s, w in base] + [(1, zero, d, zero, 1.0)]
+    m_terms = [(1, s, -1, zero, w) for s, w in base]
+    for i, gi in enumerate(grad_steps):
+        u_terms += [(0, s, i, zero, w) for s, w in gi]              # DpH . grad
+        m_terms += [(1, s, transport + i, s, -w) for s, w in gi]     # -div(W .)
+        for j, gj in enumerate(grad_steps):                         # dmu
+            m_terms += [(0, plus(s1, s2), hess + i * d + j, s1, -w1 * w2)
+                        for s1, w1 in gi for s2, w2 in gj]
+
+    indices, indptr, consts = [], [], []
+    by_coef = [[] for _ in range(d * d + 2 * d + 1)]
+    nnz = 0
+    for terms in (u_terms, m_terms):
+        slots = {key: k for k, key in enumerate(dict.fromkeys(t[:2] for t in terms))}
+        width = len(slots)
+        cols = np.stack([blk * N + shifted(s) for blk, s in slots], axis=1)
+        order = np.argsort(cols, axis=1)
+        rank = np.empty(order.shape, dtype=np.int32)
+        np.put_along_axis(rank, order, np.arange(width), axis=1)
+        pos = nnz + width * np.arange(N, dtype=np.int32)[:, None] + rank
+        indices.append(np.take_along_axis(cols, order, axis=1).ravel())
+        indptr.append(nnz + width * np.arange(N))
+        for blk, s, coef, cs, w in terms:
+            at = pos[:, slots[blk, s]]
+            if coef < 0:
+                consts.append((at, w))
+            else:  # position of the entry each coefficient point feeds
+                by_coef[coef].append((at[shifted(tuple(-a % n for a in cs))], w))
+        nnz += width * N
+    data0 = np.zeros(nnz)
+    for at, w in consts:
+        data0[at] = w
+    rows = np.concatenate([np.stack([at for at, _ in e], axis=1).ravel()
+                           for e in by_coef])
+    vals = np.concatenate([np.tile([w for _, w in e], N) for e in by_coef])
+    col_ptr = np.append(0, np.cumsum(np.repeat([len(e) for e in by_coef], N)))
+    coef_map = sp.csc_matrix((vals, rows, col_ptr), shape=(nnz, len(by_coef) * N))
+    template = JacobianTemplate(np.append(np.concatenate(indptr), nnz).astype(np.int32),
+                                np.concatenate(indices).astype(np.int32), data0,
+                                coef_map)
+    for arr in (template.indptr, template.indices, template.data0,
+                coef_map.data, coef_map.indices, coef_map.indptr):
+        arr.flags.writeable = False  # shared by every assembly on the grid
+    return template
+
+
+def assemble_jacobian(state: MFGState, models: MFGModels,
+                      lin: Linearization | None = None) -> sp.csr_matrix:
     """Sparse 2N x 2N derivative of the discrete residual, blocks
 
     [[ duu, dum ],      duu = I - lap + DpH . grad
      [ dmu, dmm ]]      dum = diag(density coupling)
                         dmu = -div( m^(1-alpha) DppH grad . )
                         dmm = I - lap - div( W . )
+
+    filled into the grid's cached `jacobian_template`.  Pass the `lin`
+    of the state's residual to skip evaluating the Hamiltonian again.
     """
-    lin = _linearize(state, models)
-    eye, grads, lap = operator_matrices(state.grid)
-    d = state.grid.d
-
-    duu = eye - lap
-    for ax in range(d):
-        duu = duu + sp.diags(lin.ev.DpH[:, ax]) @ grads[ax]
-
-    dum = sp.diags(lin.density_coupling)
-
-    dmu = sp.csr_matrix(eye.shape)
-    for i in range(d):
-        for j in range(d):
-            dmu = dmu - grads[i] @ sp.diags(lin.m_scale * lin.ev.DppH[:, i, j]) @ grads[j]
-
-    dmm = eye - lap
-    for ax in range(d):
-        dmm = dmm - grads[ax] @ sp.diags(lin.W[:, ax])
-
-    return sp.bmat([[duu, dum], [dmu, dmm]], format="csr")
+    if lin is None:
+        lin = linearize(state, models)
+    grid = state.grid
+    N, d = grid.npoints, grid.d
+    template = jacobian_template(grid)
+    hess = (lin.m_scale[:, None, None] * lin.ev.DppH).reshape(N, d * d)
+    coef = np.concatenate([lin.ev.DpH.T.ravel(), lin.density_coupling,
+                           hess.T.ravel(), lin.W.T.ravel()])
+    data = template.data0 + template.coef_map @ coef
+    return sp.csr_matrix((data, template.indices, template.indptr),
+                         shape=(2 * N, 2 * N))
 
 
 def apply_linearized(state: MFGState, models: MFGModels,
-                     w: PerturbationPair) -> PerturbationPair:
+                     w: PerturbationPair,
+                     lin: Linearization | None = None) -> PerturbationPair:
     """Action of the linearized operator on w = (v, f) via grid operators."""
-    lin = _linearize(state, models)
+    if lin is None:
+        lin = linearize(state, models)
     grid = state.grid
     v, f = w.v, w.f
     Dv = grid.gradient(v)
@@ -254,9 +374,10 @@ def apply_swap(w: PerturbationPair) -> PerturbationPair:
 
 
 def bilinear_form(w1: PerturbationPair, w2: PerturbationPair,
-                  state: MFGState, models: MFGModels) -> float:
-    """B[w1, w2] = integrate( L(w1) . P w2 )."""
-    lw = apply_linearized(state, models, w1)
+                  state: MFGState, models: MFGModels,
+                  lin: Linearization | None = None) -> float:
+    """B[w1, w2] = integrate( L(w1) . P w2 ), at `lin` when given."""
+    lw = apply_linearized(state, models, w1, lin)
     pw = apply_swap(w2)
     grid = state.grid
     return grid.integrate(lw.v * pw.v + lw.f * pw.f)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from mfglab import system
 from mfglab.cli import main
 from mfglab.config import (ConfigError, RunConfig, parse_config_text,
                            serialize_config, validate_config)
@@ -156,6 +157,21 @@ class TestValidateCommand:
         assert main(["validate", "--config", fast_config,
                      "--fields", solved_dir]) == 0
         assert os.path.exists(os.path.join(solved_dir, "diagnostics.json"))
+
+    def test_bilinear_spot_check_linearizes_once(self, fast_config, solved_dir,
+                                                 monkeypatch):
+        calls = []
+        real = system.blend_eval
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(system, "blend_eval", counted)
+        assert main(["validate", "--config", fast_config,
+                     "--fields", solved_dir]) == 0
+        # one evaluation for the energy identity, one linearization shared
+        # by all eight perturbations of the bilinear-form check
+        assert len(calls) == 2
 
     def test_scaled_mass_fails_validation(self, fast_config, solved_dir, capsys):
         field = read_field_csv(os.path.join(solved_dir, "m.csv"))

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import default_models, smooth_field
-from mfglab import solver
+from mfglab import solver, system
 from mfglab.grid import TorusGrid
 from mfglab.solver import (ContinuationConfig, LaggedLU, NewtonConfig,
                            NewtonDivergenceError, SingularSystemError,
@@ -224,6 +224,24 @@ class TestNewton:
         init = models.trivial_state()
         with pytest.raises(NewtonDivergenceError):
             newton_solve(init, 0.5, models, NewtonConfig(max_iters=1))
+
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 32), TorusGrid(2, 16)])
+    def test_one_hamiltonian_evaluation_per_state(self, grid, monkeypatch):
+        calls = {"eval": 0, "residual": 0, "jacobian": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+        monkeypatch.setattr(system, "blend_eval", counted("eval", system.blend_eval))
+        monkeypatch.setattr(solver, "residual", counted("residual", solver.residual))
+        monkeypatch.setattr(solver, "assemble_jacobian",
+                            counted("jacobian", solver.assemble_jacobian))
+        models = default_models(grid)
+        result = newton_solve(models.trivial_state(), 0.4, models)
+        assert result.iters == calls["jacobian"] >= 2
+        assert calls["eval"] == calls["residual"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

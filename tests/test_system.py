@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from helpers import default_models, smooth_field, smooth_positive_density
@@ -11,7 +12,8 @@ from mfglab.grid import TorusGrid
 from mfglab.hamiltonian import conjugate_exponent
 from mfglab.system import (MFGState, PerturbationPair, apply_linearized,
                            apply_swap, assemble_jacobian, bilinear_form,
-                           operator_matrices, residual, write_matrix_coo)
+                           jacobian_template, linearize, operator_matrices,
+                           residual, write_matrix_coo)
 
 
 def independent_residual(state, models):
@@ -71,6 +73,30 @@ def independent_residual(state, models):
     r_u = u - lap(u) + m**alpha * H + V
     r_m = m - lap(m) - div(DpH * m[:, None]) - 1.0
     return r_u, r_m
+
+
+def reference_jacobian(state, models):
+    """The Jacobian's block formula as sparse products, sums and a bmat."""
+    lin = linearize(state, models)
+    eye, grads, lap = operator_matrices(state.grid)
+    d = state.grid.d
+
+    duu = eye - lap
+    for ax in range(d):
+        duu = duu + sp.diags(lin.ev.DpH[:, ax]) @ grads[ax]
+
+    dum = sp.diags(lin.density_coupling)
+
+    dmu = sp.csr_matrix(eye.shape)
+    for i in range(d):
+        for j in range(d):
+            dmu = dmu - grads[i] @ sp.diags(lin.m_scale * lin.ev.DppH[:, i, j]) @ grads[j]
+
+    dmm = eye - lap
+    for ax in range(d):
+        dmm = dmm - grads[ax] @ sp.diags(lin.W[:, ax])
+
+    return sp.bmat([[duu, dum], [dmu, dmm]], format="csr")
 
 
 class TestResidual:
@@ -236,6 +262,68 @@ class TestJacobian:
         assert len(first) == 3 and first[0].isdigit() and first[1].isdigit()
 
 
+class TestJacobianTemplate:
+    @staticmethod
+    def random_state(grid, lam, seed=17):
+        rng = np.random.default_rng(seed)
+        return MFGState(grid, smooth_field(grid, rng, 0.5),
+                        smooth_positive_density(grid, rng), lam)
+
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 16), TorusGrid(2, 8)])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("sign", ["paper_literal", "monotone"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_matches_reference_assembly(self, grid, alpha, sign, lam):
+        models = default_models(grid, sign=sign, alpha=alpha)
+        state = self.random_state(grid, lam)
+        if grid.d == 2:  # the fields vary along x2: cross Hessian entries live
+            assert np.max(np.abs(linearize(state, models).ev.DppH[:, 0, 1])) > 1e-3
+        jac = assemble_jacobian(state, models)
+        ref = reference_jacobian(state, models).toarray()
+        rows = np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))
+        on_pattern = np.zeros(ref.shape, dtype=bool)
+        on_pattern[rows, jac.indices] = True
+        assert not np.any(ref[~on_pattern])
+        n = grid.npoints
+        for block in (rows < n) & (jac.indices < n), (rows < n) & (jac.indices >= n), \
+                (rows >= n) & (jac.indices < n), (rows >= n) & (jac.indices >= n):
+            want = ref[rows[block], jac.indices[block]]
+            assert np.max(np.abs(jac.data[block] - want)) \
+                <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 16), TorusGrid(2, 8)])
+    def test_pattern_independent_of_state(self, grid):
+        models = default_models(grid)
+        trivial = assemble_jacobian(models.trivial_state(), models)
+        for lam in (0.3, 1.0):
+            jac = assemble_jacobian(self.random_state(grid, lam), models)
+            assert np.array_equal(jac.indptr, trivial.indptr)
+            assert np.array_equal(jac.indices, trivial.indices)
+        if grid.d == 2:  # the trivial state's zero cross Hessian stays as zeros
+            assert np.count_nonzero(trivial.data) < trivial.nnz
+
+    def test_equal_grids_share_one_template(self):
+        grid_a, grid_b = TorusGrid(2, 12), TorusGrid(2, 12)
+        assert grid_a is not grid_b
+        assert jacobian_template(grid_a) is jacobian_template(grid_b)
+        models = default_models(grid_a)
+        jac_a = assemble_jacobian(self.random_state(grid_a, 0.4), models)
+        jac_b = assemble_jacobian(self.random_state(grid_b, 0.9), models)
+        assert np.shares_memory(jac_a.indices, jac_b.indices)
+        assert np.shares_memory(jac_a.indptr, jac_b.indptr)
+
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 32), TorusGrid(2, 16)])
+    def test_residual_linearization_gives_same_matrix(self, grid):
+        models = default_models(grid, alpha=0.5)
+        state = self.random_state(grid, 0.7)
+        res = residual(state, models)
+        carried = assemble_jacobian(state, models, res.lin)
+        fresh = assemble_jacobian(state, models)
+        assert np.array_equal(carried.data, fresh.data)
+        assert np.array_equal(carried.indices, fresh.indices)
+        assert np.array_equal(carried.indptr, fresh.indptr)
+
+
 class TestSwapAndBilinear:
     def test_swap_definition(self):
         w = PerturbationPair(np.array([1.0]), np.array([0.0]))
@@ -281,6 +369,19 @@ class TestSwapAndBilinear:
             quad = grid.integrate(jw[:grid.npoints] * pw.v
                                   + jw[grid.npoints:] * pw.f)
             assert abs(direct - quad) < 1e-12 * max(1.0, abs(direct))
+
+    def test_passed_linearization_gives_same_value(self):
+        grid = TorusGrid(2, 12)
+        models = default_models(grid, sign="monotone")
+        rng = np.random.default_rng(19)
+        state = MFGState(grid, smooth_field(grid, rng, 0.5),
+                         smooth_positive_density(grid, rng), 1.0)
+        lin = linearize(state, models)
+        for _ in range(3):
+            w = PerturbationPair(rng.standard_normal(grid.npoints),
+                                 rng.standard_normal(grid.npoints))
+            assert bilinear_form(w, w, state, models, lin) \
+                == bilinear_form(w, w, state, models)
 
 
 class TestState:
