@@ -15,8 +15,9 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config, validate_config
 from .diagnostics import CertifyThresholds, certify, estimate_suite
 from .grid import ScalarField, TorusGrid, read_field_csv, write_field_csv
-from .hamiltonian import (HamiltonianModel, audit_assumptions,
-                          check_parameter_admissibility, coefficient_field)
+from .hamiltonian import (HamiltonianModel, admissible_alpha_max,
+                          audit_assumptions, check_parameter_admissibility,
+                          coefficient_field)
 from .solver import ContinuationConfig, NewtonConfig, continuation_run
 from .system import (MFGModels, MFGState, PerturbationPair, bilinear_form,
                      linearize)
@@ -248,12 +249,11 @@ def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
                      f"{str(r['admissible']).lower()},"
                      f"{str(r['reached_one']).lower()},{r['iters_total']},"
                      f"{r['min_m']:.17g},{r['energy_residual']:.17g}\n")
-    # admissibility frontier: largest alpha allowed at each gamma
+    # admissibility frontier: supremum of the admissible alpha at each gamma
     with open(os.path.join(out, "frontier.csv"), "w") as fh:
         fh.write("gamma,alpha_max\n")
         for gamma in np.linspace(1.01, 1.99, 99):
-            amax = min(2.0, (2.0 - gamma) / (2.0 * (gamma - 1.0)))
-            fh.write(f"{gamma:.17g},{amax:.17g}\n")
+            fh.write(f"{gamma:.17g},{admissible_alpha_max(gamma):.17g}\n")
     print(f"sweep complete: {len(rows)} pairs, results in {out}/sweep.csv")
     return EXIT_OK
 

@@ -41,7 +41,6 @@ class RunConfig:
     continuation_grow: float = 1.5
     continuation_shrink: float = 0.5
     output_dir: str = "out"
-    output_formats: str = "csv,json"
     overrides_allow_inadmissible: bool = False
 
 
@@ -62,7 +61,6 @@ _KEYS = {
     "continuation.grow": ("continuation_grow", float),
     "continuation.shrink": ("continuation_shrink", float),
     "output.dir": ("output_dir", str),
-    "output.formats": ("output_formats", str),
     "overrides.allow_inadmissible": ("overrides_allow_inadmissible", _parse_bool),
 }
 
@@ -137,6 +135,3 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"{_FIELD_TO_KEY[name]} must be positive")
     if cfg.continuation_step_min > cfg.continuation_step_init:
         raise ConfigError("continuation.step_min exceeds continuation.step_init")
-    for fmt in cfg.output_formats.split(","):
-        if fmt.strip() not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {fmt.strip()!r}")

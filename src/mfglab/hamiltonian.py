@@ -350,6 +350,23 @@ class AdmissibilityReport:
         return [c for c in self.conditions if not c.satisfied]
 
 
+def _inverse_moment_bound(gamma: float) -> float:
+    """Right end of inverse_moment_range: alpha < (2 - gamma)/(2 (gamma - 1))."""
+    return (2.0 - gamma) / (2.0 * (gamma - 1.0)) if gamma > 1.0 else float("inf")
+
+
+def admissible_alpha_max(gamma: float) -> float:
+    """Supremum of the admissible congestion exponents alpha at gamma, d <= 2.
+
+    For d <= 2 the dimension and interpolation conditions hold for every
+    alpha > 0, and gamma_alpha_coupling, gamma < 1 + 1/(1 + 2 alpha), is
+    inverse_moment_range rearranged.  With alpha_range, 0 < alpha < 2, the
+    admissible alpha at 1 < gamma < 2 form the open interval
+    (0, admissible_alpha_max(gamma)).
+    """
+    return min(2.0, _inverse_moment_bound(gamma))
+
+
 def check_parameter_admissibility(gamma: float, alpha: float, d: int) -> AdmissibilityReport:
     """Evaluate every (gamma, alpha, d) inequality with its margin.
 
@@ -375,10 +392,7 @@ def check_parameter_admissibility(gamma: float, alpha: float, d: int) -> Admissi
     conds.append(Condition(
         "gamma_alpha_coupling", "gamma < 1 + 1/(1 + 2 alpha)", m > 0.0, m))
 
-    if gamma > 1.0:
-        m = (2.0 - gamma) / (2.0 * (gamma - 1.0)) - alpha
-    else:
-        m = float("inf")
+    m = _inverse_moment_bound(gamma) - alpha
     conds.append(Condition(
         "inverse_moment_range", "alpha < (2 - gamma)/(2 (gamma - 1))", m > 0.0, m))
 

@@ -51,6 +51,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unrecognized key"):
             parse_config_text("grid.m = 12\n")
 
+    def test_removed_output_formats_key_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="line 2: unrecognized key 'output.formats'"):
+            parse_config_text("grid.n = 32\noutput.formats = csv,json\n")
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config_text("# comment\n\ngrid.n = 16  # trailing\n")
         assert cfg.grid_n == 16

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mfglab.grid import TorusGrid
-from mfglab.hamiltonian import (HamiltonianModel, audit_assumptions, blend_eval,
+from mfglab.hamiltonian import (HamiltonianModel, admissible_alpha_max,
+                                audit_assumptions, blend_eval,
                                 check_parameter_admissibility, coefficient_field,
                                 conjugate_exponent, example_eval,
                                 example_lagrangian, potential_eval, power_eval,
@@ -285,6 +286,14 @@ class TestAdmissibility:
         coupling = [c for c in report.conditions
                     if c.name == "gamma_alpha_coupling"][0]
         assert coupling.margin == pytest.approx(1 + 1 / 3 - 1.25, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_alpha_max_is_the_admissible_supremum(self, d):
+        for gamma in np.linspace(1.01, 1.99, 99):  # the frontier.csv gammas
+            amax = admissible_alpha_max(gamma)
+            below = check_parameter_admissibility(gamma, amax * (1 - 1e-9), d)
+            above = check_parameter_admissibility(gamma, amax * (1 + 1e-9), d)
+            assert below.admissible and not above.admissible
 
 
 class TestModelContainers:

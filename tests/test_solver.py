@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from helpers import default_models, smooth_field
 from mfglab import solver, system
@@ -19,9 +20,9 @@ def count_factorizations(monkeypatch) -> list:
     calls = []
     real = solver.splu
 
-    def counted(matrix):
+    def counted(matrix, **kwargs):
         calls.append(matrix.shape)
-        return real(matrix)
+        return real(matrix, **kwargs)
     monkeypatch.setattr(solver, "splu", counted)
     return calls
 
@@ -157,6 +158,23 @@ class TestLaggedLU:
         assert linear.factor is None
         assert backward_error(jac, x, np.ones(jac.shape[0])) <= 1e-10
 
+    def test_2d_factor_held_from_n16(self):
+        # fill 4.4x at n = 8, below REUSE_MIN_FILL; 9.0x at n = 16
+        for n, held in ((8, False), (16, True)):
+            jac = jacobian_2d(n)
+            linear = LaggedLU()
+            x = linear.solve(jac, np.ones(jac.shape[0]))
+            assert (linear.factor is not None) == held
+            assert backward_error(jac, x, np.ones(jac.shape[0])) <= 1e-10
+
+    def test_minimum_degree_ordering_cuts_fill(self):
+        jac = jacobian_2d()
+        keep = LaggedLU()
+        x = solve_direct(jac, np.ones(jac.shape[0]), keep)
+        colamd = splu(jac.tocsc(), permc_spec="COLAMD")
+        assert keep.factor.nnz <= 0.75 * colamd.nnz
+        assert backward_error(jac, x, np.ones(jac.shape[0])) <= 1e-10
+
 
 class TestFactorReuse:
     @staticmethod
@@ -167,7 +185,7 @@ class TestFactorReuse:
         calls = count_factorizations(monkeypatch)
         path = self.run()
         assert path.reached_one
-        assert len(calls) < path.total_iters
+        assert len(calls) == 1 < path.total_iters
 
     def test_matches_refactoring_at_every_iteration(self, monkeypatch):
         path = self.run()
