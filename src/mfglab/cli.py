@@ -15,9 +15,8 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config, validate_config
 from .diagnostics import CertifyThresholds, certify, estimate_suite
 from .grid import ScalarField, TorusGrid, read_field_csv, write_field_csv
-from .hamiltonian import (HamiltonianModel, admissible_alpha_max,
-                          audit_assumptions, check_parameter_admissibility,
-                          coefficient_field)
+from .hamiltonian import (admissible_alpha_max, audit_assumptions,
+                          check_parameter_admissibility, coefficient_field)
 from .solver import ContinuationConfig, NewtonConfig, continuation_run
 from .system import (MFGModels, MFGState, PerturbationPair, bilinear_form,
                      linearize)
@@ -27,6 +26,9 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_AUDIT = 4
 EXIT_VALIDATE = 5
+
+# homotopy weight of blend_eval that each hamiltonian.kind audits
+AUDIT_LAMBDA = {"example": 1.0, "power": 0.0, "blend": 0.5}
 
 
 def format_json(obj, indent: int = 0) -> str:
@@ -146,23 +148,19 @@ def cmd_solve(cfg: RunConfig, out_dir: str | None = None) -> int:
 
 def cmd_audit(cfg: RunConfig) -> int:
     grid, models, _, _ = build_setup(cfg)
-    if cfg.hamiltonian_kind == "example":
-        model = HamiltonianModel("example", cfg.hamiltonian_gamma, models.a)
-    elif cfg.hamiltonian_kind == "power":
-        model = HamiltonianModel("power", cfg.hamiltonian_gamma)
-    else:
-        model = HamiltonianModel("blend", cfg.hamiltonian_gamma, models.a, lam=0.5)
-    audit = audit_assumptions(model, cfg.congestion_alpha, d=max(cfg.grid_d, 2))
+    lam = AUDIT_LAMBDA[cfg.hamiltonian_kind]
+    audit = audit_assumptions(models.gamma, models.a, lam, models.alpha,
+                              max(cfg.grid_d, 2))
     adm = check_parameter_admissibility(
         cfg.hamiltonian_gamma, cfg.congestion_alpha, cfg.grid_d)
 
-    print(f"assumption audit: kind={model.kind} gamma={cfg.hamiltonian_gamma:g} "
-          f"alpha={cfg.congestion_alpha:g}")
+    print(f"assumption audit: kind={cfg.hamiltonian_kind} "
+          f"gamma={cfg.hamiltonian_gamma:g} alpha={cfg.congestion_alpha:g}")
     for check in audit.checks:
         consts = " ".join(f"{k}={v:.6g}" for k, v in check.constants.items())
         print(f"  [{'pass' if check.passed else 'FAIL'}] {check.name}: "
               f"{check.statement}  ({consts})")
-    if model.kind == "example":
+    if lam == 1.0:
         print(f"  inf alpha_tilde = {audit.alpha_tilde_inf:.6g} "
               f"(requires alpha < inf alpha_tilde)")
     for cond in adm.conditions:

@@ -96,9 +96,13 @@ def energy_identity(state: MFGState, models: MFGModels):
     return lhs, rhs, abs(lhs - rhs)
 
 
-def estimate_suite(state: MFGState, models: MFGModels,
-                   r_list=(2.0, 4.0, 8.0), beta_list=None,
-                   surrogate_p: float = 16.0) -> DiagnosticsReport:
+# orders r of the reported inverse moments ||1/m||_{L^r}
+INVERSE_MOMENT_ORDERS = (2.0, 4.0, 8.0)
+# exponent p of the ||m||_{L^p} that stands in for the Sobolev-conjugate norm
+SURROGATE_P = 16.0
+
+
+def estimate_suite(state: MFGState, models: MFGModels) -> DiagnosticsReport:
     """Evaluate every reported estimate quantity on the state."""
     if np.min(state.m) <= 0.0:
         raise ValueError("density must be strictly positive on the grid")
@@ -107,8 +111,6 @@ def estimate_suite(state: MFGState, models: MFGModels,
     alpha, gamma = models.alpha, models.gamma
     alpha_bar = (gamma - 1.0) * alpha
     delta = 2.0 * alpha_bar / (2.0 - gamma)
-    if beta_list is None:
-        beta_list = (-alpha_bar, 0.0, 1.0 - alpha_bar)
 
     Du = grid.gradient4(u)
     du_mag = np.linalg.norm(Du, axis=1)
@@ -119,7 +121,7 @@ def estimate_suite(state: MFGState, models: MFGModels,
 
     weighted = tuple(
         (float(beta), grid.integrate(du_mag**gamma * m**beta))
-        for beta in beta_list)
+        for beta in (-alpha_bar, 0.0, 1.0 - alpha_bar))
 
     # gradients of the pointwise-powered field, not chain rule on Dm
     g_sob = grid.gradient4(m ** (0.5 * (1.0 + alpha)))
@@ -129,7 +131,8 @@ def estimate_suite(state: MFGState, models: MFGModels,
     entropy = (grid.integrate(m * np.log(m)),
                grid.integrate(np.sum(g_ent**2, axis=1)))
 
-    inverse = tuple((float(r), grid.lp_norm(1.0 / m, r)) for r in r_list)
+    inverse = tuple((float(r), grid.lp_norm(1.0 / m, r))
+                    for r in INVERSE_MOMENT_ORDERS)
 
     sup_norms = {
         "u": grid.lp_norm(u, math.inf),
@@ -154,7 +157,7 @@ def estimate_suite(state: MFGState, models: MFGModels,
         sup_norms=sup_norms,
         delta_exponent=delta,
         alpha_bar=alpha_bar,
-        surrogate_high_norm=(float(surrogate_p), grid.lp_norm(m, surrogate_p)),
+        surrogate_high_norm=(float(SURROGATE_P), grid.lp_norm(m, SURROGATE_P)),
     )
 
 

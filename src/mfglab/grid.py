@@ -21,6 +21,11 @@ Operator conventions:
   (it obeys the discrete maximum principle).
 - integrate: rectangle rule h^d * sum, spectrally accurate for smooth
   periodic integrands.
+
+These roll-based stencils are the package's single discrete calculus:
+the residual applies them, and `system.jacobian_template` reads the
+Jacobian's stencil steps and weights from their response to a unit
+impulse.  Only the diagnostics use a second stencil (`gradient4`).
 """
 
 from __future__ import annotations

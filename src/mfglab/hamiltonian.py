@@ -1,6 +1,8 @@
 """Hamiltonian and potential models for the congestion system.
 
-Three Hamiltonian kinds share one evaluation interface:
+One evaluator, `blend_eval(p, a, gamma, lam)`, covers the three
+Hamiltonian kinds: lam = 1 is ``example``, lam = 0 is ``power`` and
+0 < lam < 1 is a ``blend``.
 
 - ``example``: the convex dual of the movement cost
   L(x,v) = a(x) (1 + |v|^2)^(gamma'/2), with gamma in (1,2),
@@ -54,6 +56,9 @@ def conjugate_exponent(gamma: float) -> float:
 
 # -- optimal-speed inversion -------------------------------------------
 
+SPEED_TOL = 1e-12     # absolute residual of the speed equation
+SPEED_MAX_ITER = 200  # safeguarded Newton steps before giving up
+
 
 def _speed_map(s, a, gp):
     return gp * a * s * (1.0 + s * s) ** (0.5 * gp - 1.0)
@@ -63,8 +68,7 @@ def _speed_map_deriv(s, a, gp):
     return gp * a * (1.0 + s * s) ** (0.5 * gp - 2.0) * (1.0 + (gp - 1.0) * s * s)
 
 
-def solve_optimal_speed(p_mag, a, gamma_prime: float, tol: float = 1e-12,
-                        max_iter: int = 200):
+def solve_optimal_speed(p_mag, a, gamma_prime: float):
     """Invert gamma' a s (1+s^2)^(gamma'/2-1) = |p| for the speed s >= 0.
 
     The map is strictly increasing in s, so the root is unique.
@@ -95,9 +99,9 @@ def solve_optimal_speed(p_mag, a, gamma_prime: float, tol: float = 1e-12,
         hi[short] *= 2.0
 
     # absolute tolerance with a relative floor for very large momenta
-    tol_arr = np.maximum(tol, 8.0 * _EPS * p)
+    tol_arr = np.maximum(SPEED_TOL, 8.0 * _EPS * p)
     done = np.zeros(p.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(SPEED_MAX_ITER):
         g = _speed_map(s, av, gp) - p
         done |= np.abs(g) <= tol_arr
         if done.all():
@@ -232,60 +236,6 @@ def potential_eval(m, b, lam: float, sign: str = "paper_literal"):
     V = lam * (bv - at) + sigma * (1.0 - lam) * at
     DmV = (-lam + sigma * (1.0 - lam)) / (1.0 + mv * mv)
     return V, DmV
-
-
-# -- model containers --------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class HamiltonianModel:
-    """Configured Hamiltonian: kind in {example, power, blend}."""
-
-    kind: str
-    gamma: float
-    a: np.ndarray | float | None = None
-    lam: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("example", "power", "blend"):
-            raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
-        if not 1.0 < self.gamma < 2.0:
-            raise ValueError(f"growth exponent must lie in (1,2), got {self.gamma}")
-        if self.kind in ("example", "blend"):
-            if self.a is None or np.any(np.asarray(self.a) <= 0.0):
-                raise ValueError("example Hamiltonian needs a positive coefficient a")
-        if self.kind == "blend":
-            if self.lam is None or not 0.0 <= self.lam <= 1.0:
-                raise ValueError("blend needs a weight lam in [0,1]")
-
-    @property
-    def gamma_prime(self) -> float:
-        return conjugate_exponent(self.gamma)
-
-    def evaluate(self, p) -> HamiltonianEval:
-        if self.kind == "example":
-            return example_eval(p, self.a, self.gamma)
-        if self.kind == "power":
-            return power_eval(p, self.gamma)
-        return blend_eval(p, self.a, self.gamma, self.lam)
-
-
-@dataclass(frozen=True, eq=False)
-class PotentialModel:
-    """Configured potential leg of the homotopy."""
-
-    b: np.ndarray | float
-    sign: str = "paper_literal"
-    lam: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.sign not in SIGN_CONVENTIONS:
-            raise ValueError(f"unknown sign convention {self.sign!r}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"blend weight must lie in [0,1], got {self.lam}")
-
-    def evaluate(self, m, lam: float | None = None):
-        return potential_eval(m, self.b, self.lam if lam is None else lam, self.sign)
 
 
 # -- coefficient-field presets ------------------------------------------
@@ -425,10 +375,9 @@ class AssumptionCheck:
 
 @dataclass(frozen=True)
 class AssumptionAudit:
-    model_kind: str
+    lam: float
     gamma: float
     alpha: float
-    radius: float
     checks: tuple[AssumptionCheck, ...]
     alpha_tilde_inf: float = field(default=float("inf"))
 
@@ -448,13 +397,20 @@ def _fit_lower_linear(lhs: np.ndarray, h: np.ndarray) -> tuple[float, float]:
     return best
 
 
-def audit_assumptions(model: HamiltonianModel, alpha: float,
-                      radius: float = 50.0, n_radii: int = 48,
-                      d: int = 2, max_x_samples: int = 64) -> AssumptionAudit:
-    """Sample-box audit of the structural conditions on H.
+# momenta p = r e_1 of the sample box: AUDIT_RADII radii in [0, AUDIT_RADIUS]
+AUDIT_RADIUS = 50.0
+AUDIT_RADII = 48
+AUDIT_MAX_X_SAMPLES = 64  # coefficient values a(x) sampled at most
 
-    Checks, over momenta p = r e_1 with r in [0, radius] and all sampled
-    values of the coefficient a(x):
+
+def audit_assumptions(gamma: float, a, lam: float, alpha: float,
+                      d: int) -> AssumptionAudit:
+    """Sample-box audit of the structural conditions on H_lam = blend_eval.
+
+    lam = 1 is the example Hamiltonian, lam = 0 the power base.  Checks,
+    over momenta p = r e_1 with r in [0, AUDIT_RADIUS] and the sampled
+    values of the coefficient a(x) (a single sample at lam = 0, where H
+    does not depend on a):
 
     - H(x,0) <= 0;
     - DpH.p - H >= c H - C with (c, C) fitted by a least-violation sweep;
@@ -463,7 +419,7 @@ def audit_assumptions(model: HamiltonianModel, alpha: float,
     - |DpH| <= C (|p|^(gamma-1) + 1), with the log-log growth slope at
       large |p| fitted and compared to gamma - 1;
     - DppH > 0 together with the pointwise congestion margin
-      DpH.p - H - (alpha/4) p.DppH.p > 0.  For the example kind the
+      DpH.p - H - (alpha/4) p.DppH.p > 0.  At lam = 1 the
       admissible-exponent field alpha_tilde = 4 (1/(gamma' s^2) + 1/gamma)
       is reported with its infimum over the sample box.
 
@@ -471,30 +427,25 @@ def audit_assumptions(model: HamiltonianModel, alpha: float,
     constants on this sample box", not absolute proofs.  Failures are
     reported, never raised.
     """
-    gamma = model.gamma
-    if model.kind == "power":
+    if lam == 0.0:
         a_samples = np.asarray([1.0])
     else:
-        a_all = np.atleast_1d(np.asarray(model.a, dtype=float)).ravel()
-        stride = max(1, a_all.size // max_x_samples)
+        a_all = np.atleast_1d(np.asarray(a, dtype=float)).ravel()
+        stride = max(1, a_all.size // AUDIT_MAX_X_SAMPLES)
         a_samples = np.unique(a_all[::stride])
 
     def evaluate(a_vals, r_vals):
         aa, rr = [x.ravel() for x in np.meshgrid(a_vals, r_vals, indexing="ij")]
         P = np.zeros((rr.size, d))
         P[:, 0] = rr
-        if model.kind == "example":
-            return example_eval(P, aa, gamma), P, rr
-        if model.kind == "power":
-            return power_eval(P, gamma), P, rr
-        return blend_eval(P, aa, gamma, model.lam), P, rr
+        return blend_eval(P, aa, gamma, lam), P, rr
 
     # box samples carry the envelope constants and pointwise margins;
     # growth exponents are fitted on a far ladder where the asymptotic
     # power law has set in
-    ev, P, rr = evaluate(a_samples, np.linspace(0.0, radius, n_radii))
+    ev, P, rr = evaluate(a_samples, np.linspace(0.0, AUDIT_RADIUS, AUDIT_RADII))
     a_far = np.asarray([np.min(a_samples), np.median(a_samples), np.max(a_samples)])
-    r_far = np.geomspace(50.0 * max(radius, 1.0), 5000.0 * max(radius, 1.0), 12)
+    r_far = np.geomspace(50.0 * AUDIT_RADIUS, 5000.0 * AUDIT_RADIUS, 12)
     ev_far, _, rr_far = evaluate(a_far, r_far)
 
     p_dot = np.einsum("ki,ki->k", ev.DpH, P)
@@ -545,7 +496,7 @@ def audit_assumptions(model: HamiltonianModel, alpha: float,
     min_margin = float(np.min(margin))
     constants = {"min_eig_DppH": min_eig, "min_margin": min_margin}
     alpha_tilde_inf = float("inf")
-    if model.kind == "example":
+    if lam == 1.0:
         s2 = ev.s_opt**2
         gp = conjugate_exponent(gamma)
         with np.errstate(divide="ignore"):
@@ -557,5 +508,4 @@ def audit_assumptions(model: HamiltonianModel, alpha: float,
         "DppH > 0 and DpH.p - H > (alpha/4) p.DppH.p",
         min_eig > 0.0 and min_margin > 0.0, constants))
 
-    return AssumptionAudit(model.kind, gamma, alpha, radius, tuple(checks),
-                           alpha_tilde_inf)
+    return AssumptionAudit(lam, gamma, alpha, tuple(checks), alpha_tilde_inf)

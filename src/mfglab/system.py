@@ -25,7 +25,8 @@ linearization together, and returns them on the ResidualPair (`lin`).
 `assemble_jacobian`, `apply_linearized` and `bilinear_form` take such
 a linearization and evaluate afresh only without one.  The Jacobian's
 sparsity pattern depends on the grid alone: `jacobian_template`
-computes it once per grid (cached like `operator_matrices`), with the
+computes it once per grid from the stencils of the grid operators
+themselves (so residual and Jacobian share one calculus), with the
 data of the two I - lap blocks and a sparse map S from the stacked
 coefficients c = (DpH, density coupling, m^(1-alpha) DppH, W) to the
 matrix data, so an assembly is data = data0 + S c.  Entries whose
@@ -114,8 +115,12 @@ class MFGModels:
     def __post_init__(self) -> None:
         if self.alpha <= 0.0:
             raise ValueError(f"congestion exponent must be positive, got {self.alpha}")
+        if not 1.0 < self.gamma < 2.0:
+            raise ValueError(f"growth exponent must lie in (1,2), got {self.gamma}")
         if np.any(np.asarray(self.a) <= 0.0):
             raise ValueError("coefficient field a must be strictly positive")
+        if self.sign not in SIGN_CONVENTIONS:
+            raise ValueError(f"unknown sign convention {self.sign!r}")
 
     def hamiltonian(self, p, lam: float) -> HamiltonianEval:
         return blend_eval(p, self.a, self.gamma, lam)
@@ -140,37 +145,6 @@ class MFGModels:
 def _check_density(m: np.ndarray) -> None:
     if np.min(m) <= 0.0:
         raise ValueError("density must be strictly positive on the grid")
-
-
-@lru_cache(maxsize=8)
-def operator_matrices(grid: TorusGrid):
-    """Sparse (identity, per-axis gradient, compact Laplacian) matrices.
-
-    Built from the same stencil definitions as the grid operators so the
-    assembled Jacobian and the roll-based residual share one calculus.
-    """
-    N = grid.npoints
-    h = grid.h
-    idx = np.arange(N).reshape(grid.shape)
-    rows = np.arange(N)
-    eye = sp.identity(N, format="csr")
-    grads = []
-    lap = sp.csr_matrix((N, N))
-    for ax in range(grid.d):
-        up = np.roll(idx, -1, axis=ax).ravel()
-        dn = np.roll(idx, 1, axis=ax).ravel()
-        g = sp.coo_matrix(
-            (np.concatenate([np.full(N, 0.5 / h), np.full(N, -0.5 / h)]),
-             (np.concatenate([rows, rows]), np.concatenate([up, dn]))),
-            shape=(N, N)).tocsr()
-        grads.append(g)
-        lap = lap + sp.coo_matrix(
-            (np.concatenate([np.full(N, 1.0 / h**2), np.full(N, 1.0 / h**2),
-                             np.full(N, -2.0 / h**2)]),
-             (np.concatenate([rows, rows, rows]),
-              np.concatenate([up, dn, rows]))),
-            shape=(N, N)).tocsr()
-    return eye, tuple(grads), lap
 
 
 @dataclass
@@ -235,17 +209,21 @@ class JacobianTemplate:
     coef_map: sp.csc_matrix
 
 
-def _row_steps(matrix, grid: TorusGrid):
-    """(step, value) of each entry in row 0 of a torus operator matrix.
+def _stencil(op, grid: TorusGrid):
+    """(step, weight) of each term of a translation-invariant grid operator.
 
-    A step is the column point's multi-index offset (mod n) from the row
-    point.  The operators are translation invariant, so every row holds
-    the same steps.
+    A step is the offset (mod n, per axis) from a point to the point its
+    weight reads.  The response to a unit impulse at point 0 is column 0
+    of the operator, which holds every row's weight for step s at the
+    point -s.
     """
-    entries = slice(matrix.indptr[0], matrix.indptr[1])
-    steps = zip(*np.unravel_index(matrix.indices[entries], grid.shape))
-    return [(tuple(int(a) for a in step), float(v))
-            for step, v in zip(steps, matrix.data[entries])]
+    impulse = np.zeros(grid.npoints)
+    impulse[0] = 1.0
+    column = op(impulse)
+    at = np.flatnonzero(column)
+    steps = zip(*np.unravel_index(at, grid.shape))
+    return [(tuple(int(-a % grid.n) for a in step), float(w))
+            for step, w in zip(steps, column[at])]
 
 
 @lru_cache(maxsize=8)
@@ -253,15 +231,16 @@ def jacobian_template(grid: TorusGrid) -> JacobianTemplate:
     """Pattern and coefficient map of `assemble_jacobian` on a grid.
 
     Every block is a sum of stencil terms, so the blocks are described
-    once by steps and weights and then laid out for all points.  The
-    pattern is every entry the block formula can reach, so it does not
-    change with the state; entries whose value happens to vanish stay in
-    it as explicit zeros.
+    once by the steps and weights of the grid's I - lap and gradient
+    stencils and then laid out for all points.  The pattern is every
+    entry the block formula can reach, so it does not change with the
+    state; entries whose value happens to vanish stay in it as explicit
+    zeros.
     """
     N, d, n = grid.npoints, grid.d, grid.n
-    eye, grads, lap = operator_matrices(grid)
-    base = _row_steps(eye - lap, grid)
-    grad_steps = [_row_steps(g, grid) for g in grads]
+    base = _stencil(lambda f: f - grid.laplacian(f), grid)
+    grad_steps = [_stencil(lambda f: grid.gradient(f)[:, ax], grid)
+                  for ax in range(d)]
     idx = np.arange(N).reshape(grid.shape)
     shifts = {}
 
@@ -382,10 +361,3 @@ def bilinear_form(w1: PerturbationPair, w2: PerturbationPair,
     grid = state.grid
     return grid.integrate(lw.v * pw.v + lw.f * pw.f)
 
-
-def write_matrix_coo(matrix: sp.spmatrix, path) -> None:
-    """Debug dump in `row col value` coordinate text format."""
-    coo = matrix.tocoo()
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17g}\n")

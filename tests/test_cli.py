@@ -63,6 +63,8 @@ class TestConfig:
     def test_value_validation(self):
         with pytest.raises(ConfigError):
             validate_config(parse_config_text("hamiltonian.gamma = 2.5\n"))
+        with pytest.raises(ConfigError, match="hamiltonian.kind"):
+            validate_config(parse_config_text("hamiltonian.kind = quadratic\n"))
 
 
 class TestSolveCommand:
@@ -143,6 +145,14 @@ class TestAuditCommand:
         assert main(["audit", "--config", str(path)]) == 4
         assert "[FAIL] zero_momentum_sign" in capsys.readouterr().out
 
+    def test_blend_kind_fails_zero_momentum_sign(self, tmp_path, capsys):
+        path = tmp_path / "blend.cfg"
+        path.write_text("hamiltonian.kind = blend\ngrid.n = 16\n")
+        assert main(["audit", "--config", str(path)]) == 4
+        out = capsys.readouterr().out
+        assert "kind=blend" in out
+        assert "[FAIL] zero_momentum_sign" in out
+
     def test_alpha_out_of_range_fails(self, tmp_path, capsys):
         path = tmp_path / "alpha3.cfg"
         path.write_text("congestion.alpha = 3.0\ngrid.n = 16\n")
@@ -209,7 +219,8 @@ class TestSweepCommand:
         code = main(["sweep", "--config", fast_config, "--out", out,
                      "--gamma", "1.1,1.25", "--alpha", "0.5,1.0"])
         assert code == 0
-        rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            rows = fh.read().splitlines()
         assert rows[0] == ("gamma,alpha,admissible,reached_one,iters_total,"
                            "min_m,energy_residual")
         assert len(rows) == 5
@@ -223,7 +234,8 @@ class TestSweepCommand:
         code = main(["sweep", "--config", fast_config, "--out", out,
                      "--gamma", "1.9", "--alpha", "1.5"])
         assert code == 0
-        row = open(os.path.join(out, "sweep.csv")).read().splitlines()[1].split(",")
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            row = fh.read().splitlines()[1].split(",")
         assert row[2] == "false" and row[3] == "false"
         assert row[4] == "0"  # no solve attempted
 

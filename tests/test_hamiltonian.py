@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from mfglab.grid import TorusGrid
-from mfglab.hamiltonian import (HamiltonianModel, admissible_alpha_max,
-                                audit_assumptions, blend_eval,
-                                check_parameter_admissibility, coefficient_field,
-                                conjugate_exponent, example_eval,
-                                example_lagrangian, potential_eval, power_eval,
-                                solve_optimal_speed)
+from mfglab.hamiltonian import (admissible_alpha_max, audit_assumptions,
+                                blend_eval, check_parameter_admissibility,
+                                coefficient_field, conjugate_exponent,
+                                example_eval, example_lagrangian,
+                                potential_eval, power_eval, solve_optimal_speed)
+from mfglab.system import MFGModels
 
 SQRT2 = math.sqrt(2.0)
 
@@ -225,16 +225,14 @@ class TestAssumptionAudit:
     def test_example_model_passes(self):
         grid = TorusGrid(1, 64)
         a = coefficient_field(grid, "sin_bump")
-        model = HamiltonianModel("example", 1.25, a)
-        audit = audit_assumptions(model, alpha=1.0)
+        audit = audit_assumptions(1.25, a, 1.0, alpha=1.0, d=2)
         assert audit.all_passed
         zero = [c for c in audit.checks if c.name == "zero_momentum_sign"][0]
         assert zero.constants["max_H_at_zero"] == pytest.approx(-np.min(a), abs=1e-12)
         assert audit.alpha_tilde_inf >= 4.0 / 1.25
 
     def test_power_base_fails_zero_momentum_sign(self):
-        model = HamiltonianModel("power", 1.25)
-        audit = audit_assumptions(model, alpha=1.0)
+        audit = audit_assumptions(1.25, 1.0, 0.0, alpha=1.0, d=2)
         zero = [c for c in audit.checks if c.name == "zero_momentum_sign"][0]
         assert not zero.passed
         assert zero.constants["max_H_at_zero"] == pytest.approx(1.0, abs=1e-12)
@@ -243,15 +241,14 @@ class TestAssumptionAudit:
     def test_blend_inherits_base_defect_away_from_target(self):
         grid = TorusGrid(1, 32)
         a = coefficient_field(grid, "sin_bump")
-        half = HamiltonianModel("blend", 1.25, a, lam=0.5)
-        audit = audit_assumptions(half, alpha=1.0)
+        audit = audit_assumptions(1.25, a, 0.5, alpha=1.0, d=2)
         zero = [c for c in audit.checks if c.name == "zero_momentum_sign"][0]
         assert not zero.passed  # lam < 1 carries the positive base value
 
     def test_fitted_constants_reported(self):
         grid = TorusGrid(1, 32)
-        model = HamiltonianModel("example", 1.25, coefficient_field(grid, "one"))
-        audit = audit_assumptions(model, alpha=1.0)
+        audit = audit_assumptions(1.25, coefficient_field(grid, "one"), 1.0,
+                                  alpha=1.0, d=2)
         action = [c for c in audit.checks if c.name == "action_controls_energy"][0]
         assert action.constants["c"] > 0.0
         growth = [c for c in audit.checks if c.name == "gamma_growth"][0]
@@ -297,38 +294,45 @@ class TestAdmissibility:
 
 
 class TestModelContainers:
+    """MFGModels, the one container of the problem data."""
+
+    GRID = TorusGrid(2, 8)
+
+    def models(self, gamma=1.25, a=1.1, b=0.25, sign="paper_literal"):
+        n = self.GRID.npoints
+        return MFGModels(self.GRID, 1.0, gamma, np.full(n, a), np.full(n, b), sign)
+
     def test_hamiltonian_model_dispatch(self):
         rng = np.random.default_rng(14)
-        p = rng.uniform(-2.0, 2.0, size=(5, 2))
-        ex = HamiltonianModel("example", 1.25, 1.1)
-        assert np.array_equal(ex.evaluate(p).H, example_eval(p, 1.1, 1.25).H)
-        pw = HamiltonianModel("power", 1.25)
-        assert np.array_equal(pw.evaluate(p).H, power_eval(p, 1.25).H)
-        bl = HamiltonianModel("blend", 1.25, 1.1, lam=0.3)
-        assert np.allclose(bl.evaluate(p).H, blend_eval(p, 1.1, 1.25, 0.3).H)
-        assert ex.gamma_prime == pytest.approx(5.0)
+        p = rng.uniform(-2.0, 2.0, size=(self.GRID.npoints, 2))
+        models = self.models()
+        assert np.array_equal(models.hamiltonian(p, 1.0).H,
+                              example_eval(p, 1.1, 1.25).H)
+        assert np.array_equal(models.hamiltonian(p, 0.0).H, power_eval(p, 1.25).H)
+        assert np.allclose(models.hamiltonian(p, 0.3).H,
+                           blend_eval(p, 1.1, 1.25, 0.3).H)
+        assert conjugate_exponent(models.gamma) == pytest.approx(5.0)
 
     def test_hamiltonian_model_validation(self):
         with pytest.raises(ValueError):
-            HamiltonianModel("quadratic", 1.25)
-        with pytest.raises(ValueError):
-            HamiltonianModel("example", 2.5, 1.0)
-        with pytest.raises(ValueError):
-            HamiltonianModel("example", 1.25, -1.0)
-        with pytest.raises(ValueError):
-            HamiltonianModel("blend", 1.25, 1.0)  # missing weight
+            self.models(a=-1.0)
+
+    def test_unknown_sign_and_gamma_outside_range_rejected(self):
+        with pytest.raises(ValueError, match="sign convention"):
+            self.models(sign="sideways")
+        for gamma in (1.0, 2.0, 2.5):
+            with pytest.raises(ValueError, match="growth exponent"):
+                self.models(gamma=gamma)
 
     def test_potential_model(self):
-        from mfglab.hamiltonian import PotentialModel
-
-        pot = PotentialModel(0.25, sign="monotone", lam=0.5)
-        V, DmV = pot.evaluate(1.0)
+        models = self.models(sign="monotone")
+        V, DmV = models.potential(np.ones(self.GRID.npoints), 0.5)
         V2, DmV2 = potential_eval(1.0, 0.25, 0.5, "monotone")
-        assert V == V2 and DmV == DmV2
-        V3, _ = pot.evaluate(1.0, lam=1.0)
-        assert V3 == pytest.approx(0.25 - math.pi / 4.0, abs=1e-15)
+        assert np.all(V == V2) and np.all(DmV == DmV2)
+        V3, _ = models.potential(1.0, 1.0)
+        assert V3[0] == pytest.approx(0.25 - math.pi / 4.0, abs=1e-15)
         with pytest.raises(ValueError):
-            PotentialModel(0.0, sign="sideways")
+            potential_eval(1.0, 0.0, 1.0, "sideways")
 
 
 class TestCoefficientFields:

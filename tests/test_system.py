@@ -12,8 +12,7 @@ from mfglab.grid import TorusGrid
 from mfglab.hamiltonian import conjugate_exponent
 from mfglab.system import (MFGState, PerturbationPair, apply_linearized,
                            apply_swap, assemble_jacobian, bilinear_form,
-                           jacobian_template, linearize, operator_matrices,
-                           residual, write_matrix_coo)
+                           jacobian_template, linearize, residual)
 
 
 def independent_residual(state, models):
@@ -75,10 +74,21 @@ def independent_residual(state, models):
     return r_u, r_m
 
 
+def grid_operator_matrices(grid):
+    """Sparse (identity, per-axis gradient, Laplacian) of the grid operators,
+    column by column: the operator applied to each unit vector."""
+    eye = np.eye(grid.npoints)
+    grads = tuple(sp.csr_matrix(np.stack([grid.gradient(e)[:, ax] for e in eye],
+                                         axis=1))
+                  for ax in range(grid.d))
+    lap = sp.csr_matrix(np.stack([grid.laplacian(e) for e in eye], axis=1))
+    return sp.identity(grid.npoints, format="csr"), grads, lap
+
+
 def reference_jacobian(state, models):
     """The Jacobian's block formula as sparse products, sums and a bmat."""
     lin = linearize(state, models)
-    eye, grads, lap = operator_matrices(state.grid)
+    eye, grads, lap = grid_operator_matrices(state.grid)
     d = state.grid.d
 
     duu = eye - lap
@@ -160,18 +170,6 @@ class TestResidual:
             assert np.max(np.abs(r.r_m - (lam * r1.r_m + (1 - lam) * r0.r_m))) < 1e-12
 
 
-class TestOperatorMatrices:
-    @pytest.mark.parametrize("grid", [TorusGrid(1, 32), TorusGrid(2, 16)])
-    def test_sparse_operators_match_roll_stencils(self, grid):
-        rng = np.random.default_rng(23)
-        _, grads, lap = operator_matrices(grid)
-        f = rng.standard_normal(grid.npoints)
-        grad_roll = grid.gradient(f)
-        for ax in range(grid.d):
-            assert np.max(np.abs(grads[ax] @ f - grad_roll[:, ax])) < 1e-13
-        assert np.max(np.abs(lap @ f - grid.laplacian(f))) < 1e-10
-
-
 class TestJacobian:
     def test_block_action_at_trivial_state(self):
         """At the lam = 0 root with alpha = 1 the linearization collapses to
@@ -226,7 +224,7 @@ class TestJacobian:
     @pytest.mark.parametrize("grid", [TorusGrid(1, 32), TorusGrid(2, 12)])
     def test_diffusion_part_of_diagonal_blocks_symmetric(self, grid):
         # the -lap carried by both diagonal blocks is an exactly symmetric matrix
-        _, _, lap = operator_matrices(grid)
+        _, _, lap = grid_operator_matrices(grid)
         assert abs(lap - lap.T).max() == 0.0
         models = default_models(grid)
         jac = assemble_jacobian(models.trivial_state(), models).tocsc()
@@ -251,15 +249,6 @@ class TestJacobian:
         lhs = grid.integrate(out[n:])
         rhs = grid.integrate(w[n:])
         assert abs(lhs - rhs) < 1e-12
-
-    def test_coo_dump(self, tmp_path):
-        grid = TorusGrid(1, 16)
-        models = default_models(grid)
-        jac = assemble_jacobian(models.trivial_state(), models)
-        path = tmp_path / "jac.txt"
-        write_matrix_coo(jac, path)
-        first = path.read_text().splitlines()[0].split()
-        assert len(first) == 3 and first[0].isdigit() and first[1].isdigit()
 
 
 class TestJacobianTemplate:
