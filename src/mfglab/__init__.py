@@ -9,8 +9,7 @@ moments, monotonicity of the linearized operator).
 
 from .grid import ScalarField, TorusGrid, read_field_csv, write_field_csv
 from .hamiltonian import check_parameter_admissibility, coefficient_field
-from .solver import (ContinuationConfig, NewtonConfig, SolvePath,
-                     continuation_run, newton_solve)
+from .solver import NewtonConfig, SolvePath, continuation_run, newton_solve
 from .system import MFGModels, MFGState, assemble_jacobian, bilinear_form, residual
 from .diagnostics import DiagnosticsReport, certify, estimate_suite
 
@@ -18,8 +17,8 @@ __all__ = [
     "TorusGrid", "ScalarField", "read_field_csv", "write_field_csv",
     "check_parameter_admissibility", "coefficient_field", "MFGModels",
     "MFGState", "residual", "assemble_jacobian", "bilinear_form",
-    "NewtonConfig", "ContinuationConfig", "SolvePath", "newton_solve",
-    "continuation_run", "DiagnosticsReport", "estimate_suite", "certify",
+    "NewtonConfig", "SolvePath", "newton_solve", "continuation_run",
+    "DiagnosticsReport", "estimate_suite", "certify",
 ]
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from .diagnostics import CertifyThresholds, certify, estimate_suite
 from .grid import ScalarField, TorusGrid, read_field_csv, write_field_csv
 from .hamiltonian import (admissible_alpha_max, audit_assumptions,
                           check_parameter_admissibility, coefficient_field)
-from .solver import ContinuationConfig, NewtonConfig, continuation_run
+from .solver import NewtonConfig, continuation_run
 from .system import (MFGModels, MFGState, PerturbationPair, bilinear_form,
                      linearize)
 
@@ -62,7 +62,7 @@ def _write_json(obj, path) -> None:
 
 
 def build_setup(cfg: RunConfig):
-    """Grid, models, and solver configurations from a validated config."""
+    """Grid, models, Newton configuration and continuation step floor."""
     validate_config(cfg)
     grid = TorusGrid(cfg.grid_d, cfg.grid_n)
     a = coefficient_field(grid, cfg.hamiltonian_a)
@@ -75,11 +75,7 @@ def build_setup(cfg: RunConfig):
     newton = NewtonConfig(tol_residual=cfg.newton_tol,
                           max_iters=cfg.newton_max_iters,
                           min_m_floor=cfg.newton_min_m_floor)
-    cont = ContinuationConfig(lambda_step_init=cfg.continuation_step_init,
-                              lambda_step_min=cfg.continuation_step_min,
-                              grow_factor=cfg.continuation_grow,
-                              shrink_factor=cfg.continuation_shrink)
-    return grid, models, newton, cont
+    return grid, models, newton, cfg.continuation_step_min
 
 
 def _admissibility_gate(cfg: RunConfig) -> bool:
@@ -106,9 +102,9 @@ def _path_summary(path) -> dict:
 
 
 def _solve_with_config(cfg: RunConfig, quiet: bool = False):
-    grid, models, newton, cont = build_setup(cfg)
+    grid, models, newton, step_min = build_setup(cfg)
     log = None if quiet else (lambda line: print(line))
-    return grid, models, continuation_run(models, newton, cont, log=log)
+    return grid, models, continuation_run(models, newton, step_min, log=log)
 
 
 def _write_solution_files(out_dir, grid, models, path) -> None:
@@ -198,8 +194,9 @@ def cmd_validate(cfg: RunConfig, fields_dir: str, out_dir: str | None = None) ->
     for v in verdicts:
         print(f"  [{'pass' if v.passed else 'FAIL'}] {v.name}: "
               f"value={v.value:.6g} threshold={v.threshold:.6g}")
-    _write_json(report.to_dict(),
-                os.path.join(out_dir or fields_dir, "diagnostics.json"))
+    out = out_dir or fields_dir
+    os.makedirs(out, exist_ok=True)
+    _write_json(report.to_dict(), os.path.join(out, "diagnostics.json"))
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_VALIDATE
 
 

@@ -36,10 +36,7 @@ class RunConfig:
     newton_tol: float = 1e-10
     newton_max_iters: int = 30
     newton_min_m_floor: float = 1e-8
-    continuation_step_init: float = 0.1
     continuation_step_min: float = 1e-4
-    continuation_grow: float = 1.5
-    continuation_shrink: float = 0.5
     output_dir: str = "out"
     overrides_allow_inadmissible: bool = False
 
@@ -56,10 +53,7 @@ _KEYS = {
     "newton.tol": ("newton_tol", float),
     "newton.max_iters": ("newton_max_iters", int),
     "newton.min_m_floor": ("newton_min_m_floor", float),
-    "continuation.step_init": ("continuation_step_init", float),
     "continuation.step_min": ("continuation_step_min", float),
-    "continuation.grow": ("continuation_grow", float),
-    "continuation.shrink": ("continuation_shrink", float),
     "output.dir": ("output_dir", str),
     "overrides.allow_inadmissible": ("overrides_allow_inadmissible", _parse_bool),
 }
@@ -129,9 +123,9 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.congestion_alpha <= 0.0:
         raise ConfigError(
             f"congestion.alpha must be positive, got {cfg.congestion_alpha}")
-    for name in ("newton_tol", "newton_min_m_floor", "continuation_step_init",
-                 "continuation_step_min"):
+    for name in ("newton_tol", "newton_min_m_floor"):
         if getattr(cfg, name) <= 0.0:
             raise ConfigError(f"{_FIELD_TO_KEY[name]} must be positive")
-    if cfg.continuation_step_min > cfg.continuation_step_init:
-        raise ConfigError("continuation.step_min exceeds continuation.step_init")
+    if not 0.0 < cfg.continuation_step_min <= 1.0:
+        raise ConfigError("continuation.step_min must lie in (0, 1], got "
+                          f"{cfg.continuation_step_min}")

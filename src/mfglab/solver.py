@@ -2,9 +2,11 @@
 
 The driver starts from the explicit root of the lam = 0 system and
 follows solutions to lam = 1: a zeroth-order predictor (the previous
-solution) feeds a damped Newton corrector at each step; failed steps
-shrink the lam increment, cheap successes grow it.  Density positivity
-is enforced inside the line search, never by projecting m.
+solution) feeds a damped Newton corrector at each step.  The first
+attempt covers the whole interval; a rejected attempt halves the lam
+increment and an accepted one doubles it (step-length bisection, as in
+Allgower & Georg, Numerical Continuation Methods, 1990).  Density
+positivity is enforced inside the line search, never by projecting m.
 
 Each Newton system J delta = -F is solved by right-preconditioned GMRES
 that applies the exact Jacobian J, preconditioned by the most recent
@@ -43,6 +45,8 @@ REACHED_ONE = "reached_one"
 STEP_UNDERFLOW = "step_underflow"
 NEWTON_DIVERGENCE = "newton_divergence"
 
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 25
 BACKWARD_ERROR_GATE = 1e-10
 # SuperLU column ordering: minimum degree on the pattern of A + A^T
 PERMC_SPEC = "MMD_AT_PLUS_A"
@@ -72,29 +76,10 @@ class NewtonConfig:
     tol_residual: float = 1e-10
     max_iters: int = 30
     min_m_floor: float = 1e-8
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 25
 
     def __post_init__(self) -> None:
-        if min(self.tol_residual, self.max_iters, self.min_m_floor,
-               self.backtrack_factor, self.max_backtracks) <= 0:
+        if min(self.tol_residual, self.max_iters, self.min_m_floor) <= 0:
             raise ValueError("Newton configuration values must be positive")
-        if self.backtrack_factor >= 1.0:
-            raise ValueError("backtrack factor must be < 1")
-
-
-@dataclass(frozen=True)
-class ContinuationConfig:
-    lambda_step_init: float = 0.1
-    lambda_step_min: float = 1e-4
-    grow_factor: float = 1.5
-    shrink_factor: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lambda_step_min <= self.lambda_step_init <= 1.0:
-            raise ValueError("need 0 < step_min <= step_init <= 1")
-        if self.grow_factor <= 1.0 or not 0.0 < self.shrink_factor < 1.0:
-            raise ValueError("need grow > 1 and 0 < shrink < 1")
 
 
 @dataclass
@@ -264,9 +249,10 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
 
     Each iteration solves J delta = -F with `linear` (a fresh LaggedLU
     when none is passed, so a factor is reused across iterations), then
-    backtracks over t in {1, beta, beta^2, ...}, accepting the first t
-    that keeps min(m + t delta_m) above max(floor, 0.1 min m) and
-    reduces the sup-norm residual.
+    backtracks over t in {1, beta, beta^2, ...} (beta = BACKTRACK_FACTOR,
+    at most MAX_BACKTRACKS times), accepting the first t that keeps
+    min(m + t delta_m) above max(floor, 0.1 min m) and reduces the
+    sup-norm residual.
     """
     if float(np.min(init.m)) <= cfg.min_m_floor:
         raise ValueError("initial density at or below the positivity floor")
@@ -288,7 +274,7 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
         m_guard = max(cfg.min_m_floor, 0.1 * float(np.min(state.m)))
         t = 1.0
         accepted = False
-        for _ in range(cfg.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             m_trial = state.m + t * dm
             if float(np.min(m_trial)) > m_guard:
                 trial = MFGState(state.grid, state.u + t * du, m_trial, lam)
@@ -298,7 +284,7 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
                     history.append(rnorm)
                     accepted = True
                     break
-            t *= cfg.backtrack_factor
+            t *= BACKTRACK_FACTOR
         if not accepted:
             raise NewtonDivergenceError(
                 f"line search stalled at lambda={lam:.6g} (residual {rnorm:.3e})")
@@ -312,17 +298,22 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
 
 def continuation_run(models: MFGModels,
                      newton_cfg: NewtonConfig = NewtonConfig(),
-                     cont_cfg: ContinuationConfig = ContinuationConfig(),
-                     log=None) -> SolvePath:
+                     step_min: float = 1e-4, log=None) -> SolvePath:
     """Follow the solution branch from lam = 0 to lam = 1.
 
+    The first attempt targets lam = 1 directly.  Each attempt goes from
+    the last accepted lam to min(1, lam + step); a rejected attempt
+    halves the length it tried, an accepted one doubles the step.
+
     Returns a SolvePath whose status is reached_one on success,
-    step_underflow when the adaptive step shrinks below its minimum, or
-    newton_divergence when the corrector fails with the step already at
-    the floor (no adaptation left to spend); failures are carried in
+    step_underflow when the halved step falls below `step_min`, or
+    newton_divergence when the corrector fails on a step already at most
+    `step_min` (no adaptation left to spend); failures are carried in
     the status and the message of the last one in `reason`, never
     raised.  One LaggedLU serves every corrector call of the run.
     """
+    if not 0.0 < step_min <= 1.0:
+        raise ValueError(f"need 0 < step_min <= 1, got {step_min}")
     state = models.trivial_state()
     res = residual(state, models)
     path = SolvePath()
@@ -332,19 +323,19 @@ def continuation_run(models: MFGModels,
         log(path.steps[-1].log_line())
 
     linear = LaggedLU()
-    lam = 0.0
-    step = cont_cfg.lambda_step_init
+    lam, step = 0.0, 1.0
     while lam < 1.0:
         target = min(1.0, lam + step)
         try:
             result = newton_solve(state, target, models, newton_cfg, linear)
         except SolverError as exc:
             path.reason = str(exc)
-            if step <= cont_cfg.lambda_step_min:
+            step = target - lam
+            if step <= step_min:
                 path.status = NEWTON_DIVERGENCE
                 return path
-            step *= cont_cfg.shrink_factor
-            if step < cont_cfg.lambda_step_min:
+            step *= 0.5
+            if step < step_min:
                 path.status = STEP_UNDERFLOW
                 return path
             continue
@@ -355,7 +346,6 @@ def continuation_run(models: MFGModels,
                                    float(np.min(state.m))))
         if log is not None:
             log(path.steps[-1].log_line())
-        if result.iters <= 4:
-            step *= cont_cfg.grow_factor
+        step *= 2.0
     path.status = REACHED_ONE
     return path

@@ -8,9 +8,12 @@ import pytest
 
 from mfglab import system
 from mfglab.cli import main
-from mfglab.config import (ConfigError, RunConfig, parse_config_text,
-                           serialize_config, validate_config)
+from mfglab.config import (ConfigError, RunConfig, load_config,
+                           parse_config_text, serialize_config, validate_config)
 from mfglab.grid import TorusGrid, read_field_csv, write_field_csv
+
+DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "configs", "default.cfg")
 
 FAST_CONFIG = """
 grid.d = 1
@@ -51,10 +54,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unrecognized key"):
             parse_config_text("grid.m = 12\n")
 
-    def test_removed_output_formats_key_rejected(self):
+    @pytest.mark.parametrize("key", ["output.formats", "continuation.step_init",
+                                     "continuation.grow", "continuation.shrink"])
+    def test_removed_key_rejected(self, key):
         with pytest.raises(ConfigError,
-                           match="line 2: unrecognized key 'output.formats'"):
-            parse_config_text("grid.n = 32\noutput.formats = csv,json\n")
+                           match=f"line 2: unrecognized key '{key}'"):
+            parse_config_text(f"grid.n = 32\n{key} = 0.5\n")
+
+    def test_default_config_file_matches_builtin_defaults(self):
+        assert load_config(DEFAULT_CONFIG) == RunConfig()
+
+    @pytest.mark.parametrize("step_min", ["0", "1.5"])
+    def test_step_min_outside_unit_interval_rejected(self, step_min):
+        with pytest.raises(ConfigError, match="continuation.step_min"):
+            validate_config(parse_config_text(
+                f"continuation.step_min = {step_min}\n"))
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config_text("# comment\n\ngrid.n = 16  # trailing\n")
@@ -172,6 +186,12 @@ class TestValidateCommand:
         assert main(["validate", "--config", fast_config,
                      "--fields", solved_dir]) == 0
         assert os.path.exists(os.path.join(solved_dir, "diagnostics.json"))
+
+    def test_out_directory_created(self, fast_config, solved_dir, tmp_path):
+        out = str(tmp_path / "missing" / "dir")
+        assert main(["validate", "--config", fast_config,
+                     "--fields", solved_dir, "--out", out]) == 0
+        assert os.path.exists(os.path.join(out, "diagnostics.json"))
 
     def test_bilinear_spot_check_linearizes_once(self, fast_config, solved_dir,
                                                  monkeypatch):

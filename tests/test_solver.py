@@ -8,10 +8,9 @@ from scipy.sparse.linalg import splu
 from helpers import default_models, smooth_field
 from mfglab import solver, system
 from mfglab.grid import TorusGrid
-from mfglab.solver import (ContinuationConfig, LaggedLU, NewtonConfig,
-                           NewtonDivergenceError, SingularSystemError,
-                           backward_error, continuation_run, gmres,
-                           newton_solve, solve_direct)
+from mfglab.solver import (LaggedLU, NewtonConfig, NewtonDivergenceError,
+                           SingularSystemError, backward_error,
+                           continuation_run, gmres, newton_solve, solve_direct)
 from mfglab.system import MFGState, assemble_jacobian, residual
 
 
@@ -263,9 +262,9 @@ class TestNewton:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            NewtonConfig(backtrack_factor=1.5)
+            NewtonConfig(max_iters=0)
         with pytest.raises(ValueError):
-            ContinuationConfig(lambda_step_min=0.5, lambda_step_init=0.1)
+            NewtonConfig(tol_residual=-1e-10)
 
 
 class TestContinuation:
@@ -299,11 +298,35 @@ class TestContinuation:
         # with no step adaptation available, the corrector is the blocker
         grid = TorusGrid(1, 32)
         models = default_models(grid)
-        path = continuation_run(
-            models, NewtonConfig(max_iters=1),
-            ContinuationConfig(lambda_step_init=0.1, lambda_step_min=0.1))
+        path = continuation_run(models, NewtonConfig(max_iters=1), step_min=1.0)
         assert path.status == "newton_divergence"
         assert path.lambdas == [0.0]
+
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 64), TorusGrid(2, 16)])
+    def test_default_run_takes_the_full_step(self, grid):
+        path = continuation_run(default_models(grid))
+        assert path.reached_one
+        assert path.lambdas == [0.0, 1.0]
+
+    def test_rejected_steps_halve_and_accepted_steps_double(self, monkeypatch):
+        targets = []
+        real = solver.newton_solve
+
+        def short_steps_only(init, lam, *args):
+            targets.append(lam)
+            if lam - init.lam > 0.3:
+                raise NewtonDivergenceError(f"step to {lam} too long")
+            return real(init, lam, *args)
+        monkeypatch.setattr(solver, "newton_solve", short_steps_only)
+        path = continuation_run(default_models(TorusGrid(1, 32)))
+        assert path.reached_one
+        assert path.lambdas == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert targets == [1.0, 0.5, 0.25, 0.75, 0.5, 1.0, 0.75, 1.0]
+
+    @pytest.mark.parametrize("step_min", [0.0, -1e-4, 1.5])
+    def test_step_min_outside_unit_interval_rejected(self, step_min):
+        with pytest.raises(ValueError, match="step_min"):
+            continuation_run(default_models(TorusGrid(1, 16)), step_min=step_min)
 
     def test_path_deterministic(self):
         grid = TorusGrid(1, 64)
