@@ -65,11 +65,14 @@ def build_setup(cfg: RunConfig):
     """Grid, models, Newton configuration and continuation step floor."""
     validate_config(cfg)
     grid = TorusGrid(cfg.grid_d, cfg.grid_n)
-    a = coefficient_field(grid, cfg.hamiltonian_a)
+    try:
+        a = coefficient_field(grid, cfg.hamiltonian_a)
+        b = coefficient_field(grid, cfg.potential_b)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if np.min(a) <= 0.0:
         raise ConfigError(f"hamiltonian.a = {cfg.hamiltonian_a!r} is not "
                           "strictly positive on the grid")
-    b = coefficient_field(grid, cfg.potential_b)
     models = MFGModels(grid, cfg.congestion_alpha, cfg.hamiltonian_gamma,
                        a, b, cfg.potential_sign)
     newton = NewtonConfig(tol_residual=cfg.newton_tol,
@@ -93,8 +96,8 @@ def _path_summary(path) -> dict:
     return {
         "status": path.status,
         "steps": [
-            {"lambda": s.lam, "iters": s.iters, "residual": s.residual_norm,
-             "min_m": s.min_m}
+            {"lambda": s.lam, "n": s.n, "iters": s.iters,
+             "residual": s.residual_norm, "min_m": s.min_m}
             for s in path.steps
         ],
         "total_iters": path.total_iters,
@@ -124,9 +127,9 @@ def _write_solution_files(out_dir, grid, models, path) -> None:
             cells = [f"{c:.17g}" for c in point] + [f"{uv:.17g}", f"{mv:.17g}"]
             fh.write(",".join(cells) + "\n")
     with open(os.path.join(out_dir, "path.csv"), "w") as fh:
-        fh.write("lambda,iters,residual,min_m\n")
+        fh.write("lambda,n,iters,residual,min_m\n")
         for s in path.steps:
-            fh.write(f"{s.lam:.17g},{s.iters},{s.residual_norm:.17g},"
+            fh.write(f"{s.lam:.17g},{s.n},{s.iters},{s.residual_norm:.17g},"
                      f"{s.min_m:.17g}\n")
 
 

@@ -7,6 +7,7 @@ losslessly on all recognized keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -109,6 +110,11 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def validate_config(cfg: RunConfig) -> None:
     """Structural checks independent of admissibility."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{_FIELD_TO_KEY[f.name]} must be finite, "
+                              f"got {value}")
     if cfg.grid_d not in (1, 2):
         raise ConfigError(f"grid.d must be 1 or 2, got {cfg.grid_d}")
     if cfg.grid_n < 8:
@@ -126,6 +132,9 @@ def validate_config(cfg: RunConfig) -> None:
     for name in ("newton_tol", "newton_min_m_floor"):
         if getattr(cfg, name) <= 0.0:
             raise ConfigError(f"{_FIELD_TO_KEY[name]} must be positive")
+    if cfg.newton_max_iters < 1:
+        raise ConfigError("newton.max_iters must be at least 1, got "
+                          f"{cfg.newton_max_iters}")
     if not 0.0 < cfg.continuation_step_min <= 1.0:
         raise ConfigError("continuation.step_min must lie in (0, 1], got "
                           f"{cfg.continuation_step_min}")

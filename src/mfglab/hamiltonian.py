@@ -263,6 +263,8 @@ def coefficient_field(grid: TorusGrid, descriptor: str) -> np.ndarray:
             raise ValueError(f"bad Fourier coefficient list in {descriptor!r}") from exc
         if not coeffs:
             raise ValueError(f"empty Fourier coefficient list in {descriptor!r}")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"non-finite Fourier coefficient in {descriptor!r}")
         out = np.full(grid.npoints, coeffs[0])
         pairs = coeffs[1:]
         for k in range(0, len(pairs), 2):

@@ -13,6 +13,18 @@ def default_models(grid: TorusGrid, sign: str = "paper_literal",
                      coefficient_field(grid, "cos_bump"), sign)
 
 
+def two_dimensional_models(grid: TorusGrid) -> MFGModels:
+    """Problem data that varies along both axes (2D grids):
+
+    a = 1 + 0.3 sin(2 pi x1) cos(2 pi x2) + 0.15 sin(2 pi (x1 + 2 x2)),
+    b = 0.5 cos(2 pi x1) + 0.4 sin(2 pi x2) + 0.25 cos(2 pi (x1 - x2)).
+    """
+    x1, x2 = 2 * np.pi * grid.coords().T
+    a = 1 + 0.3 * np.sin(x1) * np.cos(x2) + 0.15 * np.sin(x1 + 2 * x2)
+    b = 0.5 * np.cos(x1) + 0.4 * np.sin(x2) + 0.25 * np.cos(x1 - x2)
+    return MFGModels(grid, 1.0, 1.25, a, b)
+
+
 def smooth_field(grid: TorusGrid, rng: np.random.Generator,
                  amplitude: float = 1.0, modes: int = 3) -> np.ndarray:
     """Random band-limited field: low Fourier modes with decaying weights."""

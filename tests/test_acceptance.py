@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import default_models, smooth_field, smooth_positive_density
+from helpers import (default_models, smooth_field, smooth_positive_density,
+                     two_dimensional_models)
 from mfglab.diagnostics import energy_identity, estimate_suite
 from mfglab.grid import TorusGrid
 from mfglab.hamiltonian import (check_parameter_admissibility, conjugate_exponent,
@@ -249,3 +250,21 @@ def test_criterion_10_diagnostics_closed_forms():
         worst = max(worst, gap_entropy, *gaps_inverse)
         ok = ok and gap_entropy < 1e-12 and all(g < 1e-12 for g in gaps_inverse)
     report(10, "diagnostics closed forms", ok, f"max gap {worst:.3e}")
+
+
+def test_criterion_11_two_dimensional_energy_identity_convergence():
+    residuals, variation = {}, 0.0
+    for n in (64, 128):
+        grid = TorusGrid(2, n)
+        models = two_dimensional_models(grid)
+        path = continuation_run(models)
+        assert path.reached_one, f"n={n}: {path.status}: {path.reason}"
+        state = path.final_state
+        _, _, residuals[n] = energy_identity(state, models)
+        u = state.u.reshape(grid.shape)
+        variation = max(variation, float(np.max(np.ptp(u, axis=1))))
+    ratio = residuals[64] / residuals[128]
+    ok = residuals[128] < 1e-3 and 3.2 <= ratio <= 4.8 and variation > 1e-3
+    report(11, "2D energy identity convergence, data varying along x2", ok,
+           f"residual n=128 {residuals[128]:.3e}, n=64/n=128 ratio "
+           f"{ratio:.3f}, max x2-variation of u {variation:.3e}")

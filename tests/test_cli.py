@@ -137,6 +137,54 @@ class TestSolveCommand:
         assert "step_underflow" in err
         assert "no convergence in 1 iterations" in err
 
+    @pytest.mark.parametrize("line", [
+        "newton.max_iters = 0", "newton.max_iters = -3", "newton.tol = nan",
+        "newton.tol = inf", "newton.min_m_floor = nan", "congestion.alpha = nan"])
+    def test_escaping_value_exits_2_with_config_error(self, line, tmp_path,
+                                                      capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"grid.n = 16\n{line}\n")
+        code = main(["solve", "--config", str(path), "--out",
+                     str(tmp_path / "o"), "--override-admissibility"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {line.split(' =')[0]} must be" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("hamiltonian.a = bogus", "unknown coefficient field descriptor"),
+        ("hamiltonian.a = fourier:nan", "non-finite Fourier coefficient"),
+        ("potential.b = fourier:0,inf", "non-finite Fourier coefficient")])
+    def test_bad_coefficient_field_exits_2_with_config_error(
+            self, line, message, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"grid.n = 16\n{line}\n")
+        assert main(["solve", "--config", str(path), "--out",
+                     str(tmp_path / "o")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_two_level_run_records_the_grid_of_each_step(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "run2d.cfg"
+        path.write_text("grid.d = 2\ngrid.n = 64\n")
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", str(path), "--out", out]) == 0
+        with open(os.path.join(out, "path.json")) as fh:
+            steps = json.load(fh)["steps"]
+        assert [(s["lambda"], s["n"]) for s in steps] == \
+            [(0.0, 32), (1.0, 32), (1.0, 64)]
+        with open(os.path.join(out, "path.csv")) as fh:
+            rows = fh.read().splitlines()
+        assert rows[0] == "lambda,n,iters,residual,min_m"
+        assert [r.split(",")[:2] for r in rows[1:]] == \
+            [["0", "32"], ["1", "32"], ["1", "64"]]
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("lambda=")]
+        assert len(lines) == 3
+        for line in lines:
+            fields = dict(tok.split("=") for tok in line.split())
+            assert set(fields) == {"lambda", "iters", "residual", "min_m"}
+        assert read_field_csv(os.path.join(out, "u.csv")).grid == TorusGrid(2, 64)
+
     def test_deterministic_outputs(self, fast_config, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         main(["solve", "--config", fast_config, "--out", out1])

@@ -355,3 +355,8 @@ class TestCoefficientFields:
     def test_unknown_descriptor_rejected(self):
         with pytest.raises(ValueError):
             coefficient_field(TorusGrid(1, 32), "bump")
+
+    @pytest.mark.parametrize("descriptor", ["fourier:nan", "fourier:1,0,inf"])
+    def test_non_finite_coefficient_rejected(self, descriptor):
+        with pytest.raises(ValueError, match="non-finite"):
+            coefficient_field(TorusGrid(1, 32), descriptor)

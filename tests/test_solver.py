@@ -5,12 +5,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from helpers import default_models, smooth_field
+from helpers import default_models, smooth_field, two_dimensional_models
 from mfglab import solver, system
 from mfglab.grid import TorusGrid
 from mfglab.solver import (LaggedLU, NewtonConfig, NewtonDivergenceError,
                            SingularSystemError, backward_error,
-                           continuation_run, gmres, newton_solve, solve_direct)
+                           continuation_run, fourier_resample, gmres,
+                           newton_solve, solve_direct)
 from mfglab.system import MFGState, assemble_jacobian, residual
 
 
@@ -266,6 +267,12 @@ class TestNewton:
         with pytest.raises(ValueError):
             NewtonConfig(tol_residual=-1e-10)
 
+    @pytest.mark.parametrize("field", ["tol_residual", "min_m_floor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            NewtonConfig(**{field: value})
+
 
 class TestContinuation:
     def test_default_run_reaches_target(self):
@@ -302,11 +309,14 @@ class TestContinuation:
         assert path.status == "newton_divergence"
         assert path.lambdas == [0.0]
 
-    @pytest.mark.parametrize("grid", [TorusGrid(1, 64), TorusGrid(2, 16)])
-    def test_default_run_takes_the_full_step(self, grid):
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 64), TorusGrid(2, 16),
+                                      TorusGrid(2, 32)])
+    def test_default_run_takes_the_full_step(self, grid, monkeypatch):
+        calls = count_factorizations(monkeypatch)
         path = continuation_run(default_models(grid))
         assert path.reached_one
         assert path.lambdas == [0.0, 1.0]
+        assert calls and set(calls) == {(2 * grid.npoints, 2 * grid.npoints)}
 
     def test_rejected_steps_halve_and_accepted_steps_double(self, monkeypatch):
         targets = []
@@ -364,6 +374,131 @@ class TestContinuation:
         state = path.final_state
         assert residual(state, models).sup_norm == \
             pytest.approx(path.steps[-1].residual_norm, rel=1e-12)
+
+
+class TestFourierResample:
+    @staticmethod
+    def polynomial(grid: TorusGrid) -> np.ndarray:
+        """A trigonometric polynomial resolved on every grid from n = 8."""
+        x = 2 * np.pi * grid.coords()
+        value = 1.0 + np.sin(x[:, 0]) + 0.3 * np.cos(3 * x[:, 0])
+        if grid.d == 2:
+            value += np.sin(x[:, 0]) * np.cos(2 * x[:, 1]) + 0.2 * np.sin(3 * x[:, 1])
+        return value
+
+    @pytest.mark.parametrize("d, n_from, n_to", [
+        (1, 16, 32), (1, 33, 66), (2, 16, 32), (2, 32, 16), (2, 33, 66),
+        (2, 66, 33)])
+    def test_polynomial_resampled_exactly(self, d, n_from, n_to):
+        src, dst = TorusGrid(d, n_from), TorusGrid(d, n_to)
+        out = fourier_resample(np.stack([self.polynomial(src)] * 2), src, dst)
+        assert out.shape == (2, dst.npoints)
+        assert np.max(np.abs(out - self.polynomial(dst))) <= 1e-13
+
+    @pytest.mark.parametrize("d, n_from, n_to", [(2, 64, 32), (2, 32, 64),
+                                                 (1, 66, 33)])
+    def test_mean_kept_for_unresolved_fields(self, d, n_from, n_to):
+        src, dst = TorusGrid(d, n_from), TorusGrid(d, n_to)
+        values = np.random.default_rng(11).random(src.npoints)
+        out = fourier_resample(values, src, dst)
+        assert abs(dst.integrate(out) - src.integrate(values)) <= 1e-14
+
+    def test_prolongation_then_restriction_is_identity(self):
+        coarse, fine = TorusGrid(2, 32), TorusGrid(2, 64)
+        values = np.random.default_rng(12).random(coarse.npoints)
+        back = fourier_resample(fourier_resample(values, coarse, fine),
+                                fine, coarse)
+        assert np.max(np.abs(back - values)) <= 1e-14
+
+
+class TestTwoLevel:
+    """2D n = 64 runs go through the n = 32 solution and a two-grid Newton."""
+
+    FINE = TorusGrid(2, 64)
+
+    @staticmethod
+    def direct_run(models, monkeypatch) -> solver.SolvePath:
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "TWO_LEVEL_MIN_COARSE_N", 10**9)
+            return continuation_run(models)
+
+    @pytest.mark.parametrize("make_models", [default_models,
+                                             two_dimensional_models])
+    def test_matches_the_direct_continuation(self, make_models, monkeypatch):
+        models = make_models(self.FINE)
+        calls = count_factorizations(monkeypatch)
+        path = continuation_run(models)
+        assert calls == [(2 * 32**2, 2 * 32**2)]
+        assert path.reached_one
+        assert path.lambdas == [0.0, 1.0, 1.0]
+        assert [s.n for s in path.steps] == [32, 32, 64]
+        reference = self.direct_run(models, monkeypatch)
+        assert [s.n for s in reference.steps] == [64, 64]
+        final, ref = path.final_state, reference.final_state
+        assert final.grid == ref.grid == self.FINE
+        assert np.max(np.abs(final.u - ref.u)) <= 1e-10
+        assert np.max(np.abs(final.m - ref.m)) <= 1e-10
+        assert residual(final, models).sup_norm < 1e-10
+
+    def test_mass_on_every_step_on_its_own_grid(self):
+        path = continuation_run(two_dimensional_models(self.FINE))
+        for step in path.steps:
+            grid = step.state.grid
+            assert grid.n == step.n
+            assert abs(grid.integrate(step.state.m) - 1.0) <= 1e-10
+
+    def test_log_receives_every_step_once_the_path_succeeds(self):
+        lines = []
+        path = continuation_run(default_models(self.FINE), log=lines.append)
+        assert lines == path.log_lines() and len(lines) == 3
+
+    def test_runs_are_bit_identical(self):
+        models = two_dimensional_models(self.FINE)
+        s1, s2 = (continuation_run(models).final_state for _ in range(2))
+        assert np.array_equal(s1.u, s2.u) and np.array_equal(s1.m, s2.m)
+
+    @pytest.mark.parametrize("fails", [
+        lambda init: init.grid.n == 32,                      # coarse run
+        lambda init: init.grid.n == 64 and init.lam == 1.0,  # fine solve
+    ], ids=["coarse", "fine"])
+    def test_failure_falls_back_to_the_fine_continuation(self, fails,
+                                                         monkeypatch):
+        real = solver.newton_solve
+
+        def failing(init, lam, *args):
+            if fails(init):
+                raise NewtonDivergenceError("forced failure")
+            return real(init, lam, *args)
+        monkeypatch.setattr(solver, "newton_solve", failing)
+        lines = []
+        path = continuation_run(default_models(self.FINE), log=lines.append)
+        assert path.reached_one
+        assert path.lambdas == [0.0, 1.0]
+        assert [s.n for s in path.steps] == [64, 64]
+        assert lines == path.log_lines()
+
+    def test_prolonged_density_at_the_floor_falls_back(self, monkeypatch):
+        real = solver.fourier_resample
+
+        def dipped(values, src, dst):
+            out = real(values, src, dst)
+            out[1, 7] = 0.5 * NewtonConfig().min_m_floor
+            return out
+        monkeypatch.setattr(solver, "fourier_resample", dipped)
+        path = continuation_run(default_models(self.FINE))
+        assert path.reached_one
+        assert [s.n for s in path.steps] == [64, 64]
+
+    def test_gate_miss_refactors_the_fine_jacobian(self, monkeypatch):
+        # one Krylov iteration misses the gate on every grid
+        monkeypatch.setattr(solver, "KRYLOV_MAX_ITERS", 1)
+        models = default_models(self.FINE)
+        calls = count_factorizations(monkeypatch)
+        path = continuation_run(models)
+        assert path.reached_one
+        assert [s.n for s in path.steps] == [32, 32, 64]
+        assert (2 * 64**2, 2 * 64**2) in calls
+        assert residual(path.final_state, models).sup_norm < 1e-10
 
 
 class TestUniqueness:
