@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config/input error, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -14,7 +15,8 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, validate_config
 from .diagnostics import CertifyThresholds, certify, estimate_suite
-from .grid import ScalarField, TorusGrid, read_field_csv, write_field_csv
+from .grid import (ScalarField, TorusGrid, read_field_csv, write_field_csv,
+                   write_grid_table)
 from .hamiltonian import (admissible_alpha_max, audit_assumptions,
                           check_parameter_admissibility, coefficient_field)
 from .solver import NewtonConfig, continuation_run
@@ -50,7 +52,9 @@ def format_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return f"{float(obj):.17g}"
+        # JSON has no inf/nan literals: write those as strings
+        x = float(obj)
+        return f"{x:.17g}" if math.isfinite(x) else f'"{x}"'
     if obj is None:
         return "null"
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -119,13 +123,8 @@ def _write_solution_files(out_dir, grid, models, path) -> None:
     report = estimate_suite(state, models)
     _write_json(report.to_dict(), os.path.join(out_dir, "diagnostics.json"))
     # plot data: fields side by side, and the continuation trace
-    coords = grid.coords()
-    header = ("x," if grid.d == 1 else "x,y,") + "u,m"
-    with open(os.path.join(out_dir, "solution.csv"), "w") as fh:
-        fh.write(header + "\n")
-        for point, uv, mv in zip(coords, state.u, state.m):
-            cells = [f"{c:.17g}" for c in point] + [f"{uv:.17g}", f"{mv:.17g}"]
-            fh.write(",".join(cells) + "\n")
+    write_grid_table(os.path.join(out_dir, "solution.csv"), grid, ["u", "m"],
+                     [state.u, state.m])
     with open(os.path.join(out_dir, "path.csv"), "w") as fh:
         fh.write("lambda,n,iters,residual,min_m\n")
         for s in path.steps:
@@ -182,11 +181,18 @@ def cmd_validate(cfg: RunConfig, fields_dir: str, out_dir: str | None = None) ->
               "non-positive entry", file=sys.stderr)
         return EXIT_CONFIG
     state = MFGState(grid, u.values, m.values, 1.0)
-    report = estimate_suite(state, models)
     # monotone-sign bilinear-form spot check over a few fixed perturbations
     mono = MFGModels(grid, models.alpha, models.gamma, models.a, models.b,
                      "monotone")
-    lin = linearize(state, mono)
+    try:
+        # an overflowing certificate is reported by the all_finite verdict
+        with np.errstate(over="ignore"):
+            report = estimate_suite(state, models)
+            lin = linearize(state, mono)
+    except ValueError as exc:
+        print(f"validation failed: the Hamiltonian cannot be evaluated on "
+              f"these fields ({exc})", file=sys.stderr)
+        return EXIT_VALIDATE
     rng = np.random.default_rng(0)
     bmax = max(
         bilinear_form(w, w, state, mono, lin)

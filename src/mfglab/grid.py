@@ -155,31 +155,59 @@ class ScalarField:
 
 
 # -- serialization ----------------------------------------------------
+#
+# Grid tables are CSV: a header, then one row per grid point in row-major
+# order, every number at 17 significant digits (float64 round-trips
+# exactly).  The writer formats the n axis coordinates once; for each
+# x1-line (the whole grid in 1D) it joins the rows' coordinate prefixes,
+# each followed by one `,%.17g` slot per column, into a printf template
+# and fills the line's values with one `%`.  '%.17g' and f"{v:.17g}"
+# format floats alike, so the bytes are those of per-cell formatting.
 
-_HEADERS = {1: "x,value", 2: "x,y,value"}
+_AXES = {1: "x", 2: "x,y"}
+
+
+def write_grid_table(path, grid: TorusGrid, names, columns) -> None:
+    """Write `x[,y],<names>` rows, one column of grid.npoints per name."""
+    # the axis of TorusGrid.coords
+    axis = [f"{c:.17g}" for c in (np.arange(grid.n) * grid.h).tolist()]
+    tails = [c + ",%.17g" * len(names) + "\n" for c in axis]
+    prefixes = [""] if grid.d == 1 else [c + "," for c in axis]
+    lines = [np.asarray(c, dtype=float).reshape(len(prefixes), -1)
+             for c in columns]
+    with open(path, "w") as fh:
+        fh.write(",".join([_AXES[grid.d], *names]) + "\n")
+        for i, prefix in enumerate(prefixes):
+            values = np.column_stack([line[i] for line in lines]).ravel()
+            fh.write((prefix + prefix.join(tails)) % tuple(values.tolist()))
 
 
 def write_field_csv(field: ScalarField, path) -> None:
     """Write `x[,y],value` rows (row-major), 17 significant digits."""
-    grid = field.grid
-    xs = grid.coords()
-    with open(path, "w") as fh:
-        fh.write(_HEADERS[grid.d] + "\n")
-        for point, value in zip(xs, field.values):
-            cells = [f"{c:.17g}" for c in point] + [f"{value:.17g}"]
-            fh.write(",".join(cells) + "\n")
+    write_grid_table(path, field.grid, ["value"], [field.values])
 
 
 def read_field_csv(path, grid: TorusGrid | None = None) -> ScalarField:
-    """Read a field written by write_field_csv; infers the grid if absent."""
+    """Read a field written by write_field_csv; infers the grid if absent.
+
+    A file without data rows or with a non-finite value is a ValueError.
+    """
+    headers = {f"{axes},value": d for d, axes in _AXES.items()}
     with open(path) as fh:
         header = fh.readline().strip()
-        if header not in _HEADERS.values():
+        if header not in headers:
             raise ValueError(f"{path}: unrecognized header {header!r}")
-        d = 1 if header == _HEADERS[1] else 2
+        d = headers[header]
+        start = fh.tell()
+        if not fh.readline().strip():
+            raise ValueError(f"{path}: no data row after the header")
+        fh.seek(start)
         rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     if rows.shape[1] != d + 1:
         raise ValueError(f"{path}: expected {d + 1} columns, got {rows.shape[1]}")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: data row {bad[0] + 1} holds a non-finite value")
     if grid is None:
         n = round(rows.shape[0] ** (1.0 / d))
         grid = TorusGrid(d, n)

@@ -81,6 +81,8 @@ def solve_optimal_speed(p_mag, a, gamma_prime: float):
     scalar = p.ndim == 0
     p = np.atleast_1d(p).copy()
     av = np.broadcast_to(np.asarray(a, dtype=float), p.shape).copy()
+    if not np.all(np.isfinite(p)):
+        raise ValueError("momentum magnitude must be finite")
     if np.any(p < 0.0):
         raise ValueError("momentum magnitude must be nonnegative")
     if np.any(av <= 0.0):

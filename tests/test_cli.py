@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, files, config round-trip."""
 
 import json
+import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -185,11 +187,33 @@ class TestSolveCommand:
             assert set(fields) == {"lambda", "iters", "residual", "min_m"}
         assert read_field_csv(os.path.join(out, "u.csv")).grid == TorusGrid(2, 64)
 
+    @pytest.mark.parametrize("grid_lines", ["", "grid.d = 2\ngrid.n = 16\n"],
+                             ids=["1d", "2d"])
+    def test_solution_rows_are_field_rows_side_by_side(self, grid_lines,
+                                                       tmp_path):
+        cfg = tmp_path / "side.cfg"
+        cfg.write_text(FAST_CONFIG + grid_lines)
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", str(cfg), "--out", out]) == 0
+
+        def lines(name):
+            with open(os.path.join(out, name)) as fh:
+                return fh.read().splitlines()
+        u, m, sol = lines("u.csv"), lines("m.csv"), lines("solution.csv")
+        axes = "x," if not grid_lines else "x,y,"
+        assert sol[0] == axes + "u,m"
+        assert len(sol) == len(u) == len(m)
+        for urow, mrow, srow in zip(u[1:], m[1:], sol[1:]):
+            coords, mval = mrow.rsplit(",", 1)
+            assert urow.startswith(coords + ",")
+            assert srow == urow + "," + mval
+
     def test_deterministic_outputs(self, fast_config, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         main(["solve", "--config", fast_config, "--out", out1])
         main(["solve", "--config", fast_config, "--out", out2])
-        for name in ("u.csv", "m.csv", "path.json", "diagnostics.json"):
+        for name in ("u.csv", "m.csv", "solution.csv", "path.csv", "path.json",
+                     "diagnostics.json"):
             with open(os.path.join(out1, name), "rb") as f1, \
                     open(os.path.join(out2, name), "rb") as f2:
                 assert f1.read() == f2.read(), name
@@ -273,6 +297,56 @@ class TestValidateCommand:
                      "--fields", solved_dir]) == 2
         assert "non-positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, bad", [("m.csv", np.nan), ("u.csv", np.inf)])
+    def test_non_finite_entry_rejected_as_input_error(
+            self, fast_config, solved_dir, name, bad, capsys):
+        field = read_field_csv(os.path.join(solved_dir, name))
+        field.values[4] = bad
+        write_field_csv(field, os.path.join(solved_dir, name))
+        assert main(["validate", "--config", fast_config,
+                     "--fields", solved_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot load fields: ")
+        assert f"{name}: data row 5 holds a non-finite value" in err
+
+    def test_header_only_field_rejected_as_input_error(
+            self, fast_config, solved_dir, capsys):
+        with open(os.path.join(solved_dir, "m.csv"), "w") as fh:
+            fh.write("x,value\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", fast_config,
+                         "--fields", solved_dir]) == 2
+        assert "cannot load fields: " in capsys.readouterr().err
+
+    def test_tiny_density_fails_validation_with_one_line(
+            self, fast_config, solved_dir, capsys):
+        field = read_field_csv(os.path.join(solved_dir, "m.csv"))
+        field.values[3] = 1e-300
+        write_field_csv(field, os.path.join(solved_dir, "m.csv"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", fast_config,
+                         "--fields", solved_dir]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "the Hamiltonian cannot be evaluated on these fields" in err[0]
+
+    def test_overflowing_certificates_written_as_valid_json(
+            self, fast_config, solved_dir, capsys):
+        field = read_field_csv(os.path.join(solved_dir, "m.csv"))
+        field.values[3] = 1e-40
+        write_field_csv(field, os.path.join(solved_dir, "m.csv"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", fast_config,
+                         "--fields", solved_dir]) == 5
+        assert "[FAIL] all_finite" in capsys.readouterr().out
+        with open(os.path.join(solved_dir, "diagnostics.json")) as fh:
+            report = json.load(fh)
+        assert report["inverse_moments"][-1][1] == "inf"
+        assert isinstance(report["mass"], float)
+
     def test_dimension_mismatch_rejected(self, fast_config, solved_dir,
                                          tmp_path, capsys):
         cfg = tmp_path / "other.cfg"
@@ -335,3 +409,13 @@ class TestJsonFormatting:
         assert '"x": 0.10000000000000001' in text
         assert '"flag": true' in text
         assert '"s": "a\\"b"' in text
+
+    def test_non_finite_floats_rendered_as_strings(self):
+        from mfglab.cli import format_json
+
+        text = format_json({"a": [math.inf, -math.inf, math.nan],
+                            "b": np.float64(math.inf), "c": 1e300, "d": -0.0})
+        assert json.loads(text) == {"a": ["inf", "-inf", "nan"], "b": "inf",
+                                    "c": 1e300, "d": 0.0}
+        assert '"c": 1.0000000000000001e+300' in text
+        assert '"d": -0' in text

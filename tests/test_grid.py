@@ -1,11 +1,18 @@
 """Grid calculus: stencils, adjointness, quadrature, serialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from mfglab.grid import ScalarField, TorusGrid, read_field_csv, write_field_csv
+from mfglab.grid import (ScalarField, TorusGrid, read_field_csv, write_field_csv,
+                         write_grid_table)
+
+# values whose 17-digit text is easy to get wrong: signed zero, the
+# smallest subnormal, both ends of the exponent range, non-finite values
+SPECIAL_VALUES = [-0.0, 5e-324, 1e-300, 1e300, -1e300, math.nan, math.inf,
+                  -math.inf]
 
 
 def sin_wave(grid, k=1, ax=0):
@@ -168,16 +175,87 @@ class TestQuadrature:
             grid.lp_norm(np.ones(grid.npoints), 0.5)
 
 
+def table_lines(path):
+    # a list of lines, so that pytest reports a mismatch by line index
+    # instead of diffing two long strings
+    with open(path, newline="") as fh:
+        return fh.read().splitlines(keepends=True)
+
+
+def reference_table(grid, names, columns):
+    """The table formatted cell by cell with f"{v:.17g}", line by line."""
+    rows = [",".join(["x", "y"][:grid.d] + list(names))]
+    for k, point in enumerate(grid.coords()):
+        cells = list(point) + [col[k] for col in columns]
+        rows.append(",".join(f"{v:.17g}" for v in cells))
+    return [row + "\n" for row in rows]
+
+
+def special_column(grid, seed, finite=False):
+    rng = np.random.default_rng(seed)
+    col = rng.standard_normal(grid.npoints) * 10.0 ** rng.integers(-8, 9, grid.npoints)
+    specials = [v for v in SPECIAL_VALUES if math.isfinite(v) or not finite]
+    col[rng.choice(grid.npoints, len(specials), replace=False)] = specials
+    return col
+
+
+SERIALIZATION_GRIDS = [TorusGrid(1, 8), TorusGrid(1, 37), TorusGrid(1, 256),
+                       TorusGrid(2, 8), TorusGrid(2, 9), TorusGrid(2, 64)]
+
+
 class TestFieldSerialization:
-    @pytest.mark.parametrize("grid", [TorusGrid(1, 32), TorusGrid(2, 16)])
+    @pytest.mark.parametrize("grid", SERIALIZATION_GRIDS)
+    def test_field_bytes_match_per_cell_formatting(self, grid, tmp_path):
+        values = special_column(grid, 3)
+        path = tmp_path / "f.csv"
+        write_field_csv(ScalarField(grid, values), path)
+        assert table_lines(path) == reference_table(grid, ["value"], [values])
+
+    @pytest.mark.parametrize("grid", SERIALIZATION_GRIDS)
+    def test_two_column_table_bytes_match_per_cell_formatting(self, grid,
+                                                              tmp_path):
+        u, m = special_column(grid, 4), special_column(grid, 5)
+        path = tmp_path / "t.csv"
+        write_grid_table(path, grid, ["u", "m"], [u, m])
+        assert table_lines(path) == reference_table(grid, ["u", "m"], [u, m])
+
+    def test_coordinates_carry_17_digits(self, tmp_path):
+        grid = TorusGrid(2, 37)
+        path = tmp_path / "f.csv"
+        write_field_csv(ScalarField(grid, np.zeros(grid.npoints)), path)
+        row = path.read_text().splitlines()[1 + 37 * 5 + 7]
+        assert row == f"{5 * grid.h:.17g},{7 * grid.h:.17g},0"
+        assert row.split(",")[0] == "0.13513513513513514"
+
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 32), TorusGrid(2, 16)]
+                             + SERIALIZATION_GRIDS)
     def test_csv_round_trip_bit_exact(self, grid, tmp_path):
-        rng = np.random.default_rng(17)
-        field = ScalarField(grid, rng.standard_normal(grid.npoints) * 1e3)
+        field = ScalarField(grid, special_column(grid, 17, finite=True))
         path = tmp_path / "f.csv"
         write_field_csv(field, path)
         back = read_field_csv(path)
         assert back.grid == grid
         assert np.array_equal(back.values, field.values)
+        assert np.array_equal(np.signbit(back.values), np.signbit(field.values))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected_with_file_and_row(self, bad, tmp_path):
+        grid = TorusGrid(2, 8)
+        values = np.ones(grid.npoints)
+        values[12] = bad
+        path = tmp_path / "m.csv"
+        write_field_csv(ScalarField(grid, values), path)
+        with pytest.raises(ValueError, match=r"m\.csv: data row 13 holds a "
+                                             r"non-finite value"):
+            read_field_csv(path)
+
+    def test_header_only_file_rejected_without_warning(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("x,value\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data row"):
+                read_field_csv(path)
 
     def test_header_names_axes(self, tmp_path):
         grid = TorusGrid(2, 8)

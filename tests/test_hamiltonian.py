@@ -52,6 +52,11 @@ class TestOptimalSpeed:
         with pytest.raises(ValueError):
             solve_optimal_speed(1.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_non_finite_momentum_rejected(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            solve_optimal_speed(np.array([1.0, p]), 1.0, 3.0)
+
 
 class TestExampleHamiltonian:
     def test_zero_momentum(self):
