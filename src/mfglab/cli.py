@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, validate_config
-from .diagnostics import CertifyThresholds, certify, estimate_suite
+from .diagnostics import (CertifyThresholds, certify, energy_identity,
+                          estimate_suite)
 from .grid import (ScalarField, TorusGrid, read_field_csv, write_field_csv,
                    write_grid_table)
 from .hamiltonian import (admissible_alpha_max, audit_assumptions,
@@ -241,8 +242,8 @@ def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
                 if path.steps:
                     row["min_m"] = min(s.min_m for s in path.steps)
                 if path.reached_one:
-                    report = estimate_suite(path.final_state, models)
-                    row["energy_residual"] = report.energy_identity_residual
+                    row["energy_residual"] = energy_identity(
+                        path.final_state, models)[2]
             rows.append(row)
 
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
@@ -264,7 +265,11 @@ def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
 
 def _float_list(text: str) -> list[float]:
     toks = [t for t in text.split(",") if t.strip()]
-    return [float(t) for t in toks]
+    values = [float(t) for t in toks]
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite value {v!r} in {text!r}")
+    return values
 
 
 def main(argv=None) -> int:

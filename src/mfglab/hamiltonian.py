@@ -68,14 +68,33 @@ def _speed_map_deriv(s, a, gp):
     return gp * a * (1.0 + s * s) ** (0.5 * gp - 2.0) * (1.0 + (gp - 1.0) * s * s)
 
 
+def _speed_start(p, a, gp):
+    """Newton start min(x, x^(1/(gp-1))), x = p / (gp a): at or above the root."""
+    x = p / (gp * a)
+    return np.minimum(x, x ** (1.0 / (gp - 1.0)))
+
+
 def solve_optimal_speed(p_mag, a, gamma_prime: float):
     """Invert gamma' a s (1+s^2)^(gamma'/2-1) = |p| for the speed s >= 0.
 
     The map is strictly increasing in s, so the root is unique.
-    Safeguarded Newton with a bisection bracket; the initial guess
-    s0 = (|p| / (gamma' a))^(1/(gamma'-1)) is the exact large-|p|
-    asymptote and always overshoots the root, so Newton descends
-    monotonically on this convex map.  Accepts scalars or arrays.
+    Safeguarded Newton with a bisection bracket, started from
+
+        s0 = min(x, x^(1/(gamma'-1))),    x = |p| / (gamma' a).
+
+    Since gamma' > 2, the factor (1 + s^2)^(gamma'/2-1) is at least 1
+    and at least s^(gamma'-2), so the map is at least gamma' a s and at
+    least gamma' a s^(gamma'-1); both candidates, and so s0, map to at
+    least |p| and lie at or above the root.  Newton from above descends
+    monotonically on this increasing convex map.  For x >= 1, s0 is the
+    large-|p| guess x^(1/(gamma'-1)); for small |p| it is x, which is
+    within a relative O(x^2) of the root.
+
+    A point is accepted when its residual is within SPEED_TOL (with a
+    relative floor for very large momenta), or, where no float meets
+    that (a steep map near its root), when the Newton correction no
+    longer changes s or the bracket has closed to adjacent floats.
+    Accepts scalars or arrays.
     """
     p = np.asarray(p_mag, dtype=float)
     scalar = p.ndim == 0
@@ -91,7 +110,7 @@ def solve_optimal_speed(p_mag, a, gamma_prime: float):
         raise ValueError("conjugate exponent must exceed 2")
     gp = float(gamma_prime)
 
-    s = (p / (gp * av)) ** (1.0 / (gp - 1.0))
+    s = _speed_start(p, av, gp)
     lo = np.zeros_like(p)
     hi = np.maximum(2.0 * s, 1.0)
     for _ in range(200):
@@ -111,6 +130,8 @@ def solve_optimal_speed(p_mag, a, gamma_prime: float):
         lo = np.where((g < 0.0) & ~done, s, lo)
         hi = np.where((g > 0.0) & ~done, s, hi)
         trial = s - g / _speed_map_deriv(s, av, gp)
+        # below the float resolution no step can move s any more
+        done |= (trial == s) | (np.nextafter(lo, hi) >= hi)
         outside = (trial <= lo) | (trial >= hi)
         trial = np.where(outside, 0.5 * (lo + hi), trial)
         s = np.where(done, s, trial)

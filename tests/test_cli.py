@@ -334,9 +334,15 @@ class TestValidateCommand:
 
     def test_overflowing_certificates_written_as_valid_json(
             self, fast_config, solved_dir, capsys):
+        # 1/m overflows at m = 1e-310; with u = 0 the Hamiltonian is
+        # still evaluated (at zero momentum), so the certificates are
+        # computed and the inverse moments are genuinely infinite
         field = read_field_csv(os.path.join(solved_dir, "m.csv"))
-        field.values[3] = 1e-40
+        field.values[3] = 1e-310
         write_field_csv(field, os.path.join(solved_dir, "m.csv"))
+        field = read_field_csv(os.path.join(solved_dir, "u.csv"))
+        field.values[:] = 0.0
+        write_field_csv(field, os.path.join(solved_dir, "u.csv"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["validate", "--config", fast_config,
@@ -346,6 +352,26 @@ class TestValidateCommand:
             report = json.load(fh)
         assert report["inverse_moments"][-1][1] == "inf"
         assert isinstance(report["mass"], float)
+
+    def test_large_inverse_moment_stays_finite(self, tmp_path, capsys):
+        solved = str(tmp_path / "default")
+        assert main(["solve", "--config", DEFAULT_CONFIG, "--out", solved]) == 0
+        field = read_field_csv(os.path.join(solved, "m.csv"))
+        field.values[3] = 1e-40
+        write_field_csv(field, os.path.join(solved, "m.csv"))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", DEFAULT_CONFIG,
+                         "--fields", solved]) == 5
+        out = capsys.readouterr().out
+        assert "[pass] all_finite" in out
+        assert "[FAIL] density_bounded_below" in out
+        with open(os.path.join(solved, "diagnostics.json")) as fh:
+            report = json.load(fh)
+        # ||1/m||_8 = (h (1e320 + ...))^(1/8), about 1e40 * 128^(-1/8)
+        assert report["inverse_moments"][-1] == [8, pytest.approx(5.4525e39,
+                                                                   rel=1e-4)]
 
     def test_dimension_mismatch_rejected(self, fast_config, solved_dir,
                                          tmp_path, capsys):
@@ -385,6 +411,45 @@ class TestSweepCommand:
         assert main(["sweep", "--config", fast_config,
                      "--out", str(tmp_path / "s"), "--gamma", "1.25",
                      "--alpha", ""]) == 2
+
+    @pytest.mark.parametrize("flag,bad", [("--gamma", "nan"), ("--gamma", "1.2,inf"),
+                                          ("--alpha", "-inf")])
+    def test_non_finite_list_is_config_error(self, fast_config, tmp_path,
+                                             capsys, flag, bad):
+        lists = {"--gamma": "1.25", "--alpha": "0.5", flag: bad}
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", fast_config, "--out", str(out),
+                     *(f"{k}={v}" for k, v in lists.items())]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: bad sweep list: ")
+        assert not out.exists()
+
+    def test_energy_residual_is_the_suite_certificate(
+            self, fast_config, tmp_path, monkeypatch):
+        from mfglab import cli
+        from mfglab.diagnostics import estimate_suite
+
+        def no_suite(*args):
+            raise AssertionError("sweep builds the whole estimate suite")
+
+        finals = []
+        certificate = cli.energy_identity
+
+        def energy_identity(state, models):
+            finals.append((state, models))
+            return certificate(state, models)
+
+        monkeypatch.setattr(cli, "estimate_suite", no_suite)
+        monkeypatch.setattr(cli, "energy_identity", energy_identity)
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--config", fast_config, "--out", out,
+                     "--gamma", "1.1,1.25", "--alpha", "0.5"]) == 0
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            rows = fh.read().splitlines()[1:]
+        assert len(finals) == len(rows) == 2
+        for row, (state, models) in zip(rows, finals):
+            written = float(row.split(",")[-1])
+            assert written == estimate_suite(state, models).energy_identity_residual
 
 
 class TestConsoleEntryPoint:

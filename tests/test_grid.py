@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mfglab.grid import (ScalarField, TorusGrid, read_field_csv, write_field_csv,
-                         write_grid_table)
+from mfglab.grid import (ScalarField, TorusGrid, _shift, read_field_csv,
+                         write_field_csv, write_grid_table)
 
 # values whose 17-digit text is easy to get wrong: signed zero, the
 # smallest subnormal, both ends of the exponent range, non-finite values
@@ -143,6 +143,52 @@ class TestLaplacian:
         assert np.max(np.abs(composite - grid.laplacian(f))) > 0.1
 
 
+SHIFT_GRIDS = [TorusGrid(1, 8), TorusGrid(1, 9), TorusGrid(1, 256),
+               TorusGrid(2, 8), TorusGrid(2, 9), TorusGrid(2, 64)]
+
+
+class TestShiftedStencils:
+    """The slice-based shift and every stencil against np.roll, bit for bit."""
+
+    @pytest.mark.parametrize("grid", SHIFT_GRIDS, ids=str)
+    @pytest.mark.parametrize("k", [-2, -1, 1, 2])
+    def test_shift_is_roll(self, grid, k):
+        box = np.random.default_rng(3).standard_normal(grid.shape)
+        for ax in range(grid.d):
+            shifted = _shift(box, k, ax)
+            assert shifted.dtype == box.dtype
+            assert np.array_equal(shifted, np.roll(box, k, axis=ax))
+
+    @pytest.mark.parametrize("grid", SHIFT_GRIDS, ids=str)
+    def test_stencils_equal_roll_reference(self, grid):
+        rng = np.random.default_rng(4)
+        f = rng.standard_normal(grid.npoints)
+        g = rng.standard_normal((grid.npoints, grid.d))
+        box = f.reshape(grid.shape)
+        h = grid.h
+
+        def roll(b, k, ax):
+            return np.roll(b, k, axis=ax)
+
+        # the stencils of grid.py written out with np.roll, same arithmetic
+        grad = np.empty((grid.npoints, grid.d))
+        grad4 = np.empty((grid.npoints, grid.d))
+        div = np.zeros(grid.npoints)
+        lap = -2.0 * grid.d * box
+        for ax in range(grid.d):
+            grad[:, ax] = (roll(box, -1, ax) - roll(box, 1, ax)).ravel() / (2.0 * h)
+            grad4[:, ax] = (-roll(box, -2, ax) + 8.0 * roll(box, -1, ax)
+                            - 8.0 * roll(box, 1, ax)
+                            + roll(box, 2, ax)).ravel() / (12.0 * h)
+            comp = g[:, ax].reshape(grid.shape)
+            div += (roll(comp, -1, ax) - roll(comp, 1, ax)).ravel() / (2.0 * h)
+            lap = lap + roll(box, -1, ax) + roll(box, 1, ax)
+        assert np.array_equal(grid.gradient(f), grad)
+        assert np.array_equal(grid.gradient4(f), grad4)
+        assert np.array_equal(grid.divergence(g), div)
+        assert np.array_equal(grid.laplacian(f), lap.ravel() / h**2)
+
+
 class TestQuadrature:
     def test_unit_volume(self):
         for grid in (TorusGrid(1, 32), TorusGrid(2, 16)):
@@ -168,6 +214,29 @@ class TestQuadrature:
         # rectangle rule integrates sin^2 exactly on a full period
         assert grid.lp_norm(f, 2.0) == pytest.approx(math.sqrt(0.5), abs=1e-12)
         assert grid.lp_norm(f, math.inf) == pytest.approx(1.0, abs=0.0)
+
+    def test_lp_norm_of_huge_values_stays_finite(self):
+        grid = TorusGrid(1, 128)
+        f = np.ones(grid.npoints)
+        f[3] = 1e40  # 1e40^8 overflows; the norm itself does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = grid.lp_norm(f, 8.0)
+        assert norm == pytest.approx(1e40 * 128 ** (-1.0 / 8.0), rel=1e-14)
+        assert grid.lp_norm(np.full(grid.npoints, 1e-200), 4.0) == \
+            pytest.approx(1e-200, rel=1e-14)
+
+    def test_lp_norm_of_zero_field_is_zero(self):
+        grid = TorusGrid(2, 8)
+        for p in (1.0, 2.0, 8.0, math.inf):
+            assert grid.lp_norm(np.zeros(grid.npoints), p) == 0.0
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 8.0, 16.0, 3.5])
+    def test_lp_norm_of_ordinary_values_is_the_plain_sum(self, p):
+        grid = TorusGrid(2, 16)
+        f = 1.0 + 0.5 * np.random.default_rng(5).standard_normal(grid.npoints)
+        plain = grid.integrate(np.abs(f) ** p) ** (1.0 / p)
+        assert grid.lp_norm(f, p) == plain
 
     def test_lp_norm_rejects_p_below_one(self):
         grid = TorusGrid(1, 32)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mfglab import hamiltonian
 from mfglab.grid import TorusGrid
 from mfglab.hamiltonian import (admissible_alpha_max, audit_assumptions,
                                 blend_eval, check_parameter_admissibility,
@@ -56,6 +57,66 @@ class TestOptimalSpeed:
     def test_non_finite_momentum_rejected(self, p):
         with pytest.raises(ValueError, match="finite"):
             solve_optimal_speed(np.array([1.0, p]), 1.0, 3.0)
+
+    def test_steep_map_converges_next_to_the_root(self):
+        # gamma = 1.0101: next to the root the map's values at adjacent
+        # floats straddle |p| by more than the residual tolerance
+        gp, p = 101.0, 1e3
+        s = solve_optimal_speed(p, 1.0, gp)
+        assert speed_forward(np.nextafter(s, 0.0), 1.0, gp) <= p
+        assert speed_forward(np.nextafter(s, np.inf), 1.0, gp) >= p
+
+    @pytest.mark.parametrize("gp", [2.01, 3.0, 5.0, 11.0, 101.0])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_start_lies_at_or_above_the_root(self, gp, a):
+        p = np.concatenate([[0.0], np.geomspace(1e-300, 1e6, 1200)])
+        s0 = hamiltonian._speed_start(p, a, gp)
+        assert np.all(s0 >= solve_optimal_speed(p, a, gp))
+        # map(s0) >= |p| exactly; x = |p|/(gamma' a) and the map each
+        # round, which may leave map(s0) an ulp or two below |p|
+        eps = np.finfo(float).eps
+        assert np.all(speed_forward(s0, a, gp) >= p * (1.0 - 4.0 * eps))
+
+    @staticmethod
+    def _count_map_calls(monkeypatch):
+        calls = []
+        speed_map = hamiltonian._speed_map
+
+        def counted(*args):
+            calls.append(1)
+            return speed_map(*args)
+
+        monkeypatch.setattr(hamiltonian, "_speed_map", counted)
+        return calls
+
+    @pytest.mark.parametrize("gp", [2.01, 3.0, 5.0, 11.0, 101.0])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_small_momenta_take_at_most_three_map_evaluations(
+            self, monkeypatch, gp, a):
+        calls = self._count_map_calls(monkeypatch)
+        # one bracket check, the start, one Newton step
+        for x in np.geomspace(1e-300, 1e-4, 60):
+            calls.clear()
+            solve_optimal_speed(x * gp * a, a, gp)
+            assert len(calls) <= 3, x
+
+    @pytest.mark.parametrize("gp", [2.01, 3.0, 5.0, 11.0, 101.0])
+    def test_start_never_costs_more_than_the_large_momentum_guess(
+            self, monkeypatch, gp):
+        calls = self._count_map_calls(monkeypatch)
+        start = hamiltonian._speed_start
+
+        def asymptote(p, a, gp):
+            return (p / (gp * a)) ** (1.0 / (gp - 1.0))
+
+        for x in np.geomspace(1e-300, 1e3, 120):
+            counts = []
+            for guess in (start, asymptote):
+                monkeypatch.setattr(hamiltonian, "_speed_start", guess)
+                calls.clear()
+                solve_optimal_speed(x * gp, 1.0, gp)
+                counts.append(len(calls))
+            assert counts[0] <= counts[1], x
 
 
 class TestExampleHamiltonian:
