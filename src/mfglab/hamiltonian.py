@@ -58,14 +58,37 @@ def conjugate_exponent(gamma: float) -> float:
 
 SPEED_TOL = 1e-12     # absolute residual of the speed equation
 SPEED_MAX_ITER = 200  # safeguarded Newton steps before giving up
+SPEED_SQUARE_MAX = 1e154  # s * s stays finite for speeds up to this
+
+
+def _overflow_safe(s, plain, scaled):
+    """plain(s), or scaled(s, 1 / s) where s > SPEED_SQUARE_MAX.
+
+    `scaled` is the same function written in powers of s and of
+    1 + s^-2, so it stays finite where s * s would overflow although the
+    value does not; every other speed keeps the bits of `plain`.
+    """
+    if s.max() <= SPEED_SQUARE_MAX:
+        return plain(s)
+    big = s > SPEED_SQUARE_MAX
+    high = np.where(big, s, 1.0)
+    return np.where(big, scaled(high, 1.0 / high), plain(np.where(big, 1.0, s)))
 
 
 def _speed_map(s, a, gp):
-    return gp * a * s * (1.0 + s * s) ** (0.5 * gp - 1.0)
+    """gamma' a s (1 + s^2)^(gamma'/2 - 1)."""
+    return _overflow_safe(
+        s, lambda s: gp * a * s * (1.0 + s * s) ** (0.5 * gp - 1.0),
+        lambda s, r: gp * a * s ** (gp - 1.0) * (1.0 + r * r) ** (0.5 * gp - 1.0))
 
 
 def _speed_map_deriv(s, a, gp):
-    return gp * a * (1.0 + s * s) ** (0.5 * gp - 2.0) * (1.0 + (gp - 1.0) * s * s)
+    """gamma' a (1 + s^2)^(gamma'/2 - 2) (1 + (gamma' - 1) s^2)."""
+    return _overflow_safe(
+        s, lambda s: (gp * a * (1.0 + s * s) ** (0.5 * gp - 2.0)
+                      * (1.0 + (gp - 1.0) * s * s)),
+        lambda s, r: (gp * a * s ** (gp - 2.0) * (1.0 + r * r) ** (0.5 * gp - 2.0)
+                      * (gp - 1.0 + r * r)))
 
 
 def _speed_start(p, a, gp):

@@ -16,18 +16,27 @@ accepted when its true backward error ||J x - b|| / ||b|| is at most
 1e-10; otherwise J is factored afresh, the new factor solves the system
 under the same gate and replaces the held one.  Newton therefore keeps
 its quadratic contraction while consecutive Jacobians along the path
-share one factorization.  Factors that fill in less than REUSE_MIN_FILL
-times the Jacobian's nonzeros (the banded 1D systems and the tiniest 2D
-grids) are cheaper to recompute than to iterate with, so they are not
-held.
+share one factorization.
 
-SuperLU orders the columns by minimum degree on the pattern of A + A^T
-(PERMC_SPEC).  The Jacobian is a torus stencil coupled to itself by
-stencil blocks, so its pattern is nearly structurally symmetric, the
-case that ordering is made for: at 2D n = 64 it fills 1.48M entries
-against 2.74M under SuperLU's default COLAMD ordering, which makes the
-factorization about 4x and each triangular solve inside GMRES about 2x
-cheaper.  In 1D the two orderings cost the same.
+On 2D grids SuperLU factors J and orders the columns by minimum degree
+on the pattern of A + A^T (PERMC_SPEC).  The Jacobian is a torus stencil
+coupled to itself by stencil blocks, so its pattern is nearly
+structurally symmetric, the case that ordering is made for: at 2D n = 64
+it fills 1.48M entries against 2.74M under SuperLU's default COLAMD
+ordering, which makes the factorization about 4x and each triangular
+solve inside GMRES about 2x cheaper.
+
+On 1D grids J is a band matrix once the ring is unfolded: visiting the
+nodes in the order 0, n-1, 1, n-2, 2, ... and interleaving the unknowns
+as (u_i, m_i) puts every entry of the +-2 node stencil within 9
+subdiagonals and 7 superdiagonals for every n >= 8 (`band_layout`).
+LAPACK's banded LU with partial pivoting (dgbtrf / dgbtrs, Anderson et
+al., LAPACK Users' Guide, 1999) then factors it in time linear in n: at
+1D n = 256 a band factorization and solve take about 0.1 ms against
+0.5 ms for SuperLU (one core of a 2-vCPU Xeon), less than a GMRES solve
+preconditioned by a held factor.  So SuperLU factors are held and band
+factors never are: a 1D system is factored afresh at every Newton
+iteration.
 
 2D grids with even n and n / 2 >= TWO_LEVEL_MIN_COARSE_N are solved
 from the half-resolution solution (nested iteration, as in Briggs,
@@ -51,14 +60,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
 from .grid import TorusGrid
-from .system import MFGModels, MFGState, assemble_jacobian, residual
+from .system import (JacobianTemplate, MFGModels, MFGState,
+                     assemble_jacobian, jacobian_template, residual)
 
 REACHED_ONE = "reached_one"
 STEP_UNDERFLOW = "step_underflow"
@@ -70,12 +82,6 @@ BACKWARD_ERROR_GATE = 1e-10
 # SuperLU column ordering: minimum degree on the pattern of A + A^T
 PERMC_SPEC = "MMD_AT_PLUS_A"
 KRYLOV_MAX_ITERS = 20
-# A factor is held for reuse only if its L + U nonzeros are at least this
-# multiple of the matrix's.  Under PERMC_SPEC, banded (1D) Jacobians fill
-# about 2.6x and refactor in the time of a few GMRES iterations, and so do
-# 2D Jacobians at n = 8 (4.4x); 2D Jacobians fill 9.0x at n = 16, 18.0x at
-# n = 64 and 25.6x at n = 128, where one factorization costs 35-70 solves.
-REUSE_MIN_FILL = 5
 # 2D grids with even n and n / 2 at least this are solved from the n / 2
 # solution (`two_level_run`).  On one core of a 2-vCPU Xeon, the default
 # 2D n = 64 problem then takes 0.064 s against 0.129 s, while at n = 32
@@ -233,15 +239,16 @@ class LaggedLU:
 
     `solve` first tries GMRES preconditioned by `precond` (the held
     factor); only if that misses the backward-error gate does it refactor
-    through `solve_direct`, which replaces the held factor (or clears it
-    when the factorization fails).  A factor with fill below
-    REUSE_MIN_FILL times the matrix's nonzeros is not held, so such
-    systems are always factored afresh.  One instance serves a whole
-    continuation run, so a factor outlives the Newton iteration that
-    made it.
+    through `solve_direct` on `grid` (the grid the matrices are Newton
+    matrices of, or None for any sparse matrix), which replaces the held
+    factor (or clears it when the factorization fails).  SuperLU factors
+    are held; band factors (1D grids) are not, so 1D systems are always
+    factored afresh.  One instance serves a whole continuation run, so a
+    factor outlives the Newton iteration that made it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, grid: TorusGrid | None = None) -> None:
+        self.grid = grid
         self.factor = None
 
     def precond(self, matrix: sp.spmatrix):
@@ -257,10 +264,7 @@ class LaggedLU:
                             KRYLOV_MAX_ITERS, 0.1 * BACKWARD_ERROR_GATE)
             if backward_error(matrix, x, rhs) <= BACKWARD_ERROR_GATE:
                 return x
-        x = solve_direct(matrix, rhs, self)
-        if self.factor.nnz < REUSE_MIN_FILL * matrix.nnz:
-            self.factor = None
-        return x
+        return solve_direct(matrix, rhs, self, self.grid)
 
 
 class TwoGridLU(LaggedLU):
@@ -274,14 +278,14 @@ class TwoGridLU(LaggedLU):
 
     def __init__(self, coarse_factor, fine: TorusGrid,
                  coarse: TorusGrid) -> None:
-        super().__init__()
+        super().__init__(fine)
         self.coarse_factor = coarse_factor
-        self.fine, self.coarse = fine, coarse
+        self.coarse = coarse
 
     def precond(self, matrix: sp.spmatrix):
         if self.factor is None:
             return two_grid_cycle(matrix, self.coarse_factor.solve,
-                                  self.fine, self.coarse)
+                                  self.grid, self.coarse)
         return super().precond(matrix)
 
 
@@ -349,29 +353,114 @@ def two_grid_cycle(matrix: sp.spmatrix, coarse_solve, fine: TorusGrid,
     return cycle
 
 
+@dataclass(frozen=True, eq=False)
+class BandLayout:
+    """Where the entries of a 1D Newton matrix go in LAPACK band storage.
+
+    `order[k]` is the band index of unknown k (u_i at k = i, m_i at
+    k = N + i).  A matrix on the pattern of `template`, permuted by
+    `order` on both sides, has `kl` subdiagonals and `ku` superdiagonals;
+    `slots[j]` is the position of its j-th CSR entry in the row-major
+    (2N, ldab) array whose transpose is dgbtrf's `ab` (one row per band
+    column, with kl rows of room for the fill of pivoting).
+    """
+
+    template: JacobianTemplate
+    order: np.ndarray
+    kl: int
+    ku: int
+    slots: np.ndarray
+
+    @property
+    def ldab(self) -> int:
+        return 2 * self.kl + self.ku + 1
+
+    def fits(self, matrix: sp.spmatrix) -> bool:
+        """Whether `matrix` is in CSR format on the template's pattern."""
+        return (matrix.format == "csr"
+                and matrix.shape == (self.order.size,) * 2
+                and np.array_equal(matrix.indptr, self.template.indptr)
+                and np.array_equal(matrix.indices, self.template.indices))
+
+
+@lru_cache(maxsize=8)
+def band_layout(grid: TorusGrid) -> BandLayout:
+    """Band layout of the Newton matrices of a 1D grid.
+
+    The ring's nodes are visited in folded order 0, n-1, 1, n-2, 2, ...,
+    so nodes k steps apart on the ring are at most 2k positions apart,
+    and the unknowns are interleaved as (u_i, m_i).  The bandwidths are
+    read off the grid's `jacobian_template`.
+    """
+    n, N = grid.n, grid.npoints
+    template = jacobian_template(grid)
+    fold = np.empty(n, dtype=np.intp)
+    fold[0::2] = np.arange((n + 1) // 2)
+    fold[1::2] = n - 1 - np.arange(n // 2)
+    position = np.argsort(fold)
+    order = np.concatenate([2 * position, 2 * position + 1])
+    rows = order[np.repeat(np.arange(2 * N), np.diff(template.indptr))]
+    cols = order[template.indices]
+    kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
+    slots = cols * (2 * kl + ku + 1) + kl + ku + rows - cols
+    return BandLayout(template, order, kl, ku, slots)
+
+
+class BandLU:
+    """LAPACK band LU (dgbtrf) of a 1D Newton matrix on `layout`."""
+
+    def __init__(self, matrix: sp.csr_matrix, layout: BandLayout) -> None:
+        size = layout.order.size
+        ab = np.zeros(size * layout.ldab)
+        ab[layout.slots] = matrix.data
+        self.lu, self.piv, info = dgbtrf(ab.reshape(size, layout.ldab).T,
+                                         layout.kl, layout.ku, overwrite_ab=1)
+        if info > 0:
+            raise SingularSystemError(
+                f"factorization failed: zero pivot in band column {info}")
+        self.layout = layout
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        order = self.layout.order
+        b = np.empty(order.size)
+        b[order] = rhs
+        x, _ = dgbtrs(self.lu, self.layout.kl, self.layout.ku, b, self.piv,
+                      overwrite_b=1)
+        return x[order]
+
+
 def solve_direct(matrix: sp.spmatrix, rhs: np.ndarray,
-                 keep: LaggedLU | None = None) -> np.ndarray:
+                 keep: LaggedLU | None = None,
+                 grid: TorusGrid | None = None) -> np.ndarray:
     """LU solve with a backward-error gate of 1e-10.
 
-    With `keep`, its held factor is dropped first and replaced by the new
-    one once the solve passes the gate.
+    On a 1D `grid` a matrix on the pattern of the grid's Jacobian
+    template is factored as a band matrix (`BandLU`); every other matrix
+    by SuperLU.  With `keep`, its held factor is dropped first and, once
+    the solve passes the gate, replaced by a new SuperLU factor (band
+    factors are never held).
     """
     if keep is not None:
         keep.factor = None
     if not np.all(np.isfinite(matrix.data)):
         raise SingularSystemError("system matrix has non-finite entries")
-    try:
-        factor = splu(matrix.tocsc(), permc_spec=PERMC_SPEC)
+    layout = band_layout(grid) if grid is not None and grid.d == 1 else None
+    if layout is not None and layout.fits(matrix):
+        factor = BandLU(matrix, layout)
         x = factor.solve(rhs)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"factorization failed: {exc}") from exc
+    else:
+        try:
+            factor = splu(matrix.tocsc(), permc_spec=PERMC_SPEC)
+            x = factor.solve(rhs)
+        except RuntimeError as exc:
+            raise SingularSystemError(f"factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite solution")
     backward = backward_error(matrix, x, rhs)
     if backward > BACKWARD_ERROR_GATE:
         raise SingularSystemError(
             f"numerically rank-deficient system (backward error {backward:.3e})")
-    if keep is not None:
+    if keep is not None and not isinstance(factor, BandLU):
         keep.factor = factor
     return x
 
@@ -391,7 +480,7 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
     if float(np.min(init.m)) <= cfg.min_m_floor:
         raise ValueError("initial density at or below the positivity floor")
     if linear is None:
-        linear = LaggedLU()
+        linear = LaggedLU(init.grid)
     state = MFGState(init.grid, init.u.copy(), init.m.copy(), lam)
     res = residual(state, models)
     rnorm = res.sup_norm
@@ -463,7 +552,7 @@ def continuation_run(models: MFGModels,
                 for line in path.log_lines():
                     log(line)
             return path
-    return _continue(models, newton_cfg, step_min, LaggedLU(), log)
+    return _continue(models, newton_cfg, step_min, LaggedLU(grid), log)
 
 
 def two_level_run(models: MFGModels, newton_cfg: NewtonConfig,
@@ -490,7 +579,7 @@ def two_level_run(models: MFGModels, newton_cfg: NewtonConfig,
             fine.shape)[every_other].ravel()
     coarse_models = replace(models, grid=coarse, a=inject(models.a),
                             b=inject(models.b))
-    linear = LaggedLU()
+    linear = LaggedLU(coarse)
     path = _continue(coarse_models, newton_cfg, step_min, linear)
     if not path.reached_one or linear.factor is None:
         return None

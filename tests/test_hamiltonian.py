@@ -1,6 +1,8 @@
 """Hamiltonian evaluators: inversion oracle, duality identities, audits."""
 
+import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +67,39 @@ class TestOptimalSpeed:
         s = solve_optimal_speed(p, 1.0, gp)
         assert speed_forward(np.nextafter(s, 0.0), 1.0, gp) <= p
         assert speed_forward(np.nextafter(s, np.inf), 1.0, gp) >= p
+
+    @pytest.mark.parametrize("p, gp", [(1e160, 2.01), (1e200, 2.01),
+                                       (1e300, 2.2), (1e300, 2.5)])
+    def test_huge_speed_converges_without_overflow(self, p, gp):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = solve_optimal_speed(p, 1.0, gp)
+        assert isinstance(s, float)
+        assert s * s == np.inf  # the root is above 1e154
+        # the map, in 40 digits, is within the solver's relative tolerance
+        # of |p|; its log-slope is at least 1, so s is within 8 ulps of the
+        # root
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            sd, g = decimal.Decimal(s), decimal.Decimal(gp)
+            value = g * sd * (1 + sd * sd) ** (g / 2 - 1)
+            assert abs(value / decimal.Decimal(p) - 1) <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("gp,a", [(3.0, 1.0), (5.0, 0.7), (2.5, 1.4),
+                                      (4.0, 1.3), (2.01, 1.0), (101.0, 1.0)])
+    def test_ordinary_speeds_keep_the_plain_map_bits(self, gp, a,
+                                                     monkeypatch):
+        rng = np.random.default_rng(42)
+        p = np.concatenate([[0.0, 3.0 * SQRT2, 1e3, 1e155],
+                            rng.uniform(0.0, 60.0, size=200),
+                            speed_forward(rng.uniform(0.0, 10.0, 100), a, gp)])
+        s = solve_optimal_speed(p, a, gp)
+        monkeypatch.setattr(hamiltonian, "_speed_map", speed_forward)
+        monkeypatch.setattr(
+            hamiltonian, "_speed_map_deriv",
+            lambda s, a, gp: gp * a * (1.0 + s * s) ** (0.5 * gp - 2.0)
+            * (1.0 + (gp - 1.0) * s * s))
+        assert np.array_equal(s, solve_optimal_speed(p, a, gp))
 
     @pytest.mark.parametrize("gp", [2.01, 3.0, 5.0, 11.0, 101.0])
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])

@@ -3,40 +3,58 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from helpers import default_models, smooth_field, two_dimensional_models
 from mfglab import solver, system
 from mfglab.grid import TorusGrid
 from mfglab.solver import (LaggedLU, NewtonConfig, NewtonDivergenceError,
-                           SingularSystemError, backward_error,
+                           SingularSystemError, backward_error, band_layout,
                            continuation_run, fourier_resample, gmres,
                            newton_solve, solve_direct)
 from mfglab.system import MFGState, assemble_jacobian, residual
 
 
-def count_factorizations(monkeypatch) -> list:
-    """Record every LU factorization the solver makes from now on."""
+def count_factorizations(monkeypatch, band_calls: list | None = None) -> list:
+    """Record the shape of every LU factorization the solver makes from now on.
+
+    SuperLU and band factorizations both land in the returned list; band
+    factorizations also in `band_calls` when given.
+    """
     calls = []
-    real = solver.splu
+    real, real_band = solver.splu, solver.dgbtrf
 
     def counted(matrix, **kwargs):
         calls.append(matrix.shape)
         return real(matrix, **kwargs)
+
+    def counted_band(ab, kl, ku, **kwargs):
+        # ab has one column per column of the matrix
+        calls.append((ab.shape[1], ab.shape[1]))
+        if band_calls is not None:
+            band_calls.append(calls[-1])
+        return real_band(ab, kl, ku, **kwargs)
     monkeypatch.setattr(solver, "splu", counted)
+    monkeypatch.setattr(solver, "dgbtrf", counted_band)
     return calls
 
 
-def jacobian_2d(n: int = 16) -> sp.csr_matrix:
-    """Newton matrix of the default problem at a perturbed 2D state."""
-    grid = TorusGrid(2, n)
+def newton_system(grid: TorusGrid) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Newton matrix J and right-hand side -F of the default problem at a
+    perturbed state on `grid`."""
     models = default_models(grid)
     base = models.trivial_state()
     rng = np.random.default_rng(4)
     state = MFGState(grid, base.u + 0.1 * smooth_field(grid, rng),
                      base.m * (1.0 + 0.05 * np.tanh(smooth_field(grid, rng))),
                      0.5)
-    return assemble_jacobian(state, models)
+    res = residual(state, models)
+    return assemble_jacobian(state, models, res.lin), -res.stack()
+
+
+def jacobian_2d(n: int = 16) -> sp.csr_matrix:
+    """Newton matrix of the default problem at a perturbed 2D state."""
+    return newton_system(TorusGrid(2, n))[0]
 
 
 class TestSolveDirect:
@@ -149,22 +167,25 @@ class TestLaggedLU:
         linear.solve(jac, rhs)
         assert len(calls) == 1
 
-    def test_banded_factor_is_not_held(self):
+    def test_banded_factor_is_not_held(self, monkeypatch):
         grid = TorusGrid(1, 64)
         models = default_models(grid)
         jac = assemble_jacobian(models.trivial_state(), models)
-        linear = LaggedLU()
+        linear = LaggedLU(grid)
+        band = []
+        calls = count_factorizations(monkeypatch, band)
         x = linear.solve(jac, np.ones(jac.shape[0]))
+        assert calls == band == [jac.shape]
         assert linear.factor is None
         assert backward_error(jac, x, np.ones(jac.shape[0])) <= 1e-10
 
-    def test_2d_factor_held_from_n16(self):
-        # fill 4.4x at n = 8, below REUSE_MIN_FILL; 9.0x at n = 16
-        for n, held in ((8, False), (16, True)):
+    def test_2d_factor_held_at_every_size(self):
+        # SuperLU factors are held whatever their fill (4.4x at n = 8)
+        for n in (8, 12, 16):
             jac = jacobian_2d(n)
-            linear = LaggedLU()
+            linear = LaggedLU(TorusGrid(2, n))
             x = linear.solve(jac, np.ones(jac.shape[0]))
-            assert (linear.factor is not None) == held
+            assert isinstance(linear.factor, SuperLU)
             assert backward_error(jac, x, np.ones(jac.shape[0])) <= 1e-10
 
     def test_minimum_degree_ordering_cuts_fill(self):
@@ -174,6 +195,53 @@ class TestLaggedLU:
         colamd = splu(jac.tocsc(), permc_spec="COLAMD")
         assert keep.factor.nnz <= 0.75 * colamd.nnz
         assert backward_error(jac, x, np.ones(jac.shape[0])) <= 1e-10
+
+
+class TestBandLU:
+    """1D Newton matrices are factored as band matrices in folded order."""
+
+    @pytest.mark.parametrize("n", [8, 9, 33, 256])
+    def test_matches_superlu(self, n, monkeypatch):
+        grid = TorusGrid(1, n)
+        jac, rhs = newton_system(grid)
+        layout = band_layout(grid)
+        assert (layout.kl, layout.ku) == (9, 7)
+        band = []
+        calls = count_factorizations(monkeypatch, band)
+        x = solve_direct(jac, rhs, grid=grid)
+        assert calls == band == [jac.shape]
+        reference = splu(jac.tocsc()).solve(rhs)
+        assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert backward_error(jac, x, rhs) <= 1e-10
+
+    def test_zero_column_raises(self):
+        grid = TorusGrid(1, 33)
+        jac, rhs = newton_system(grid)
+        singular = jac.copy()
+        singular.data[singular.indices == 5] = 0.0
+        assert band_layout(grid).fits(singular)
+        linear = LaggedLU(grid)
+        with pytest.raises(SingularSystemError, match="factorization failed"):
+            linear.solve(singular, rhs)
+        assert linear.factor is None
+
+    @pytest.mark.parametrize("change", [
+        lambda jac: jac.T.tocsr(),
+        lambda jac: sp.csr_matrix(jac.toarray() * (np.abs(jac.toarray()) > 1.0)),
+    ], ids=["transposed", "entries_dropped"])
+    def test_other_pattern_is_not_scattered_into_the_band(self, change,
+                                                          monkeypatch):
+        grid = TorusGrid(1, 33)
+        jac, rhs = newton_system(grid)
+        other = change(jac)
+        assert not band_layout(grid).fits(other)
+        band = []
+        calls = count_factorizations(monkeypatch, band)
+        x = solve_direct(other, rhs, grid=grid)
+        assert band == [] and calls == [other.shape]  # SuperLU's instead
+        assert backward_error(other, x, rhs) <= 1e-10
+        reference = np.linalg.solve(other.toarray(), rhs)
+        assert np.max(np.abs(x - reference)) <= 1e-10 * np.max(np.abs(reference))
 
 
 class TestFactorReuse:
@@ -202,6 +270,21 @@ class TestFactorReuse:
     def test_runs_are_bit_identical(self):
         s1, s2 = self.run().final_state, self.run().final_state
         assert np.array_equal(s1.u, s2.u) and np.array_equal(s1.m, s2.m)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_smallest_2d_grids_hold_the_factor_too(self, n, monkeypatch):
+        models = default_models(TorusGrid(2, n))
+        calls = count_factorizations(monkeypatch)
+        path = continuation_run(models)
+        assert path.reached_one and path.lambdas == [0.0, 1.0]
+        assert len(calls) == 1 < path.total_iters
+        monkeypatch.setattr(LaggedLU, "solve",
+                            lambda self, matrix, rhs: solve_direct(matrix, rhs))
+        reference = continuation_run(models)
+        assert reference.lambdas == [0.0, 1.0]
+        final, ref = path.final_state, reference.final_state
+        assert np.max(np.abs(final.u - ref.u)) <= 1e-10
+        assert np.max(np.abs(final.m - ref.m)) <= 1e-10
 
 
 class TestNewton:
