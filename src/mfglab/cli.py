@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config/input error, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -29,9 +30,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_AUDIT = 4
 EXIT_VALIDATE = 5
-
-# homotopy weight of blend_eval that each hamiltonian.kind audits
-AUDIT_LAMBDA = {"example": 1.0, "power": 0.0, "blend": 0.5}
 
 
 def format_json(obj, indent: int = 0) -> str:
@@ -81,8 +79,7 @@ def build_setup(cfg: RunConfig):
     models = MFGModels(grid, cfg.congestion_alpha, cfg.hamiltonian_gamma,
                        a, b, cfg.potential_sign)
     newton = NewtonConfig(tol_residual=cfg.newton_tol,
-                          max_iters=cfg.newton_max_iters,
-                          min_m_floor=cfg.newton_min_m_floor)
+                          max_iters=cfg.newton_max_iters)
     return grid, models, newton, cfg.continuation_step_min
 
 
@@ -109,12 +106,6 @@ def _path_summary(path) -> dict:
     }
 
 
-def _solve_with_config(cfg: RunConfig, quiet: bool = False):
-    grid, models, newton, step_min = build_setup(cfg)
-    log = None if quiet else (lambda line: print(line))
-    return grid, models, continuation_run(models, newton, step_min, log=log)
-
-
 def _write_solution_files(out_dir, grid, models, path) -> None:
     os.makedirs(out_dir, exist_ok=True)
     state = path.final_state
@@ -122,7 +113,8 @@ def _write_solution_files(out_dir, grid, models, path) -> None:
     write_field_csv(ScalarField(grid, state.m), os.path.join(out_dir, "m.csv"))
     _write_json(_path_summary(path), os.path.join(out_dir, "path.json"))
     report = estimate_suite(state, models)
-    _write_json(report.to_dict(), os.path.join(out_dir, "diagnostics.json"))
+    _write_json(dataclasses.asdict(report),
+                os.path.join(out_dir, "diagnostics.json"))
     # plot data: fields side by side, and the continuation trace
     write_grid_table(os.path.join(out_dir, "solution.csv"), grid, ["u", "m"],
                      [state.u, state.m])
@@ -136,7 +128,8 @@ def _write_solution_files(out_dir, grid, models, path) -> None:
 def cmd_solve(cfg: RunConfig, out_dir: str | None = None) -> int:
     if not _admissibility_gate(cfg):
         return EXIT_CONFIG
-    grid, models, path = _solve_with_config(cfg)
+    grid, models, newton, step_min = build_setup(cfg)
+    path = continuation_run(models, newton, step_min, log=print)
     _write_solution_files(out_dir or cfg.output_dir, grid, models, path)
     if not path.reached_one:
         print(f"continuation stopped: {path.status} at "
@@ -147,21 +140,20 @@ def cmd_solve(cfg: RunConfig, out_dir: str | None = None) -> int:
 
 def cmd_audit(cfg: RunConfig) -> int:
     grid, models, _, _ = build_setup(cfg)
-    lam = AUDIT_LAMBDA[cfg.hamiltonian_kind]
-    audit = audit_assumptions(models.gamma, models.a, lam, models.alpha,
+    # H_1, the Hamiltonian that `solve` solves
+    audit = audit_assumptions(models.gamma, models.a, 1.0, models.alpha,
                               max(cfg.grid_d, 2))
     adm = check_parameter_admissibility(
         cfg.hamiltonian_gamma, cfg.congestion_alpha, cfg.grid_d)
 
-    print(f"assumption audit: kind={cfg.hamiltonian_kind} "
-          f"gamma={cfg.hamiltonian_gamma:g} alpha={cfg.congestion_alpha:g}")
+    print(f"assumption audit: gamma={cfg.hamiltonian_gamma:g} "
+          f"alpha={cfg.congestion_alpha:g}")
     for check in audit.checks:
         consts = " ".join(f"{k}={v:.6g}" for k, v in check.constants.items())
         print(f"  [{'pass' if check.passed else 'FAIL'}] {check.name}: "
               f"{check.statement}  ({consts})")
-    if lam == 1.0:
-        print(f"  inf alpha_tilde = {audit.alpha_tilde_inf:.6g} "
-              f"(requires alpha < inf alpha_tilde)")
+    print(f"  inf alpha_tilde = {audit.alpha_tilde_inf:.6g} "
+          f"(requires alpha < inf alpha_tilde)")
     for cond in adm.conditions:
         print(f"  [{'pass' if cond.satisfied else 'FAIL'}] {cond.name}: "
               f"{cond.statement}  (margin {cond.margin:.6g})")
@@ -182,21 +174,20 @@ def cmd_validate(cfg: RunConfig, fields_dir: str, out_dir: str | None = None) ->
               "non-positive entry", file=sys.stderr)
         return EXIT_CONFIG
     state = MFGState(grid, u.values, m.values, 1.0)
-    # monotone-sign bilinear-form spot check over a few fixed perturbations
-    mono = MFGModels(grid, models.alpha, models.gamma, models.a, models.b,
-                     "monotone")
     try:
         # an overflowing certificate is reported by the all_finite verdict
         with np.errstate(over="ignore"):
             report = estimate_suite(state, models)
-            lin = linearize(state, mono)
+            # the arctan leg's sign convention drops out at lam = 1
+            lin = linearize(state, models)
     except ValueError as exc:
         print(f"validation failed: the Hamiltonian cannot be evaluated on "
               f"these fields ({exc})", file=sys.stderr)
         return EXIT_VALIDATE
+    # bilinear-form spot check over a few fixed perturbations
     rng = np.random.default_rng(0)
     bmax = max(
-        bilinear_form(w, w, state, mono, lin)
+        bilinear_form(w, w, state, models, lin)
         for w in (PerturbationPair(rng.standard_normal(grid.npoints),
                                    rng.standard_normal(grid.npoints))
                   for _ in range(8)))
@@ -206,7 +197,8 @@ def cmd_validate(cfg: RunConfig, fields_dir: str, out_dir: str | None = None) ->
               f"value={v.value:.6g} threshold={v.threshold:.6g}")
     out = out_dir or fields_dir
     os.makedirs(out, exist_ok=True)
-    _write_json(report.to_dict(), os.path.join(out, "diagnostics.json"))
+    _write_json(dataclasses.asdict(report),
+                os.path.join(out, "diagnostics.json"))
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_VALIDATE
 
 
@@ -215,6 +207,7 @@ def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
     if not gamma_list or not alpha_list:
         print("sweep needs non-empty gamma and alpha lists", file=sys.stderr)
         return EXIT_CONFIG
+    _, base, newton, step_min = build_setup(cfg)
     out = out_dir or cfg.output_dir
     os.makedirs(out, exist_ok=True)
     rows = []
@@ -227,16 +220,15 @@ def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
                    "iters_total": 0, "min_m": float("nan"),
                    "energy_residual": float("nan")}
             if attempt:
-                sub = RunConfig(**{**cfg.__dict__})
-                sub.hamiltonian_gamma = gamma
-                sub.congestion_alpha = alpha
                 try:
-                    grid, models, path = _solve_with_config(sub, quiet=True)
-                except (ConfigError, ValueError) as exc:
+                    models = dataclasses.replace(base, gamma=gamma,
+                                                 alpha=alpha)
+                except ValueError as exc:
                     print(f"sweep pair gamma={gamma:g} alpha={alpha:g} "
                           f"failed to set up: {exc}", file=sys.stderr)
                     rows.append(row)
                     continue
+                path = continuation_run(models, newton, step_min)
                 row["reached_one"] = path.reached_one
                 row["iters_total"] = path.total_iters
                 if path.steps:

@@ -28,7 +28,6 @@ def _parse_bool(tok: str) -> bool:
 class RunConfig:
     grid_d: int = 1
     grid_n: int = 128
-    hamiltonian_kind: str = "example"
     hamiltonian_gamma: float = 1.25
     hamiltonian_a: str = "sin_bump"
     potential_b: str = "cos_bump"
@@ -36,7 +35,6 @@ class RunConfig:
     congestion_alpha: float = 1.0
     newton_tol: float = 1e-10
     newton_max_iters: int = 30
-    newton_min_m_floor: float = 1e-8
     continuation_step_min: float = 1e-4
     output_dir: str = "out"
     overrides_allow_inadmissible: bool = False
@@ -45,7 +43,6 @@ class RunConfig:
 _KEYS = {
     "grid.d": ("grid_d", int),
     "grid.n": ("grid_n", int),
-    "hamiltonian.kind": ("hamiltonian_kind", str),
     "hamiltonian.gamma": ("hamiltonian_gamma", float),
     "hamiltonian.a": ("hamiltonian_a", str),
     "potential.b": ("potential_b", str),
@@ -53,7 +50,6 @@ _KEYS = {
     "congestion.alpha": ("congestion_alpha", float),
     "newton.tol": ("newton_tol", float),
     "newton.max_iters": ("newton_max_iters", int),
-    "newton.min_m_floor": ("newton_min_m_floor", float),
     "continuation.step_min": ("continuation_step_min", float),
     "output.dir": ("output_dir", str),
     "overrides.allow_inadmissible": ("overrides_allow_inadmissible", _parse_bool),
@@ -119,8 +115,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"grid.d must be 1 or 2, got {cfg.grid_d}")
     if cfg.grid_n < 8:
         raise ConfigError(f"grid.n must be at least 8, got {cfg.grid_n}")
-    if cfg.hamiltonian_kind not in ("example", "power", "blend"):
-        raise ConfigError(f"unknown hamiltonian.kind {cfg.hamiltonian_kind!r}")
     if not 1.0 < cfg.hamiltonian_gamma < 2.0:
         raise ConfigError(
             f"hamiltonian.gamma must lie in (1,2), got {cfg.hamiltonian_gamma}")
@@ -129,9 +123,8 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.congestion_alpha <= 0.0:
         raise ConfigError(
             f"congestion.alpha must be positive, got {cfg.congestion_alpha}")
-    for name in ("newton_tol", "newton_min_m_floor"):
-        if getattr(cfg, name) <= 0.0:
-            raise ConfigError(f"{_FIELD_TO_KEY[name]} must be positive")
+    if cfg.newton_tol <= 0.0:
+        raise ConfigError("newton.tol must be positive")
     if cfg.newton_max_iters < 1:
         raise ConfigError("newton.max_iters must be at least 1, got "
                           f"{cfg.newton_max_iters}")

@@ -23,7 +23,7 @@ converged solution sequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,25 +50,6 @@ class DiagnosticsReport:
     alpha_bar: float                # (gamma - 1) alpha
     surrogate_high_norm: tuple      # (p, ||m||_{L^p}); stands in for the
     #                                 Sobolev-conjugate norm, undefined for d <= 2
-
-    def to_dict(self) -> dict:
-        return {
-            "mass": self.mass,
-            "min_u": self.min_u,
-            "max_u": self.max_u,
-            "l1_u": self.l1_u,
-            "energy_identity_lhs": self.energy_identity_lhs,
-            "energy_identity_rhs": self.energy_identity_rhs,
-            "energy_identity_residual": self.energy_identity_residual,
-            "weighted_gradient_norms": [list(p) for p in self.weighted_gradient_norms],
-            "sobolev_m": list(self.sobolev_m),
-            "entropy": list(self.entropy),
-            "inverse_moments": [list(p) for p in self.inverse_moments],
-            "sup_norms": dict(self.sup_norms),
-            "delta_exponent": self.delta_exponent,
-            "alpha_bar": self.alpha_bar,
-            "surrogate_high_norm": list(self.surrogate_high_norm),
-        }
 
 
 def mass_check(state: MFGState) -> float:

@@ -135,12 +135,9 @@ def solve_optimal_speed(p_mag, a, gamma_prime: float):
 
     s = _speed_start(p, av, gp)
     lo = np.zeros_like(p)
+    # map(s) / s does not decrease and s0 maps to at least |p| (to
+    # rounding), so 2 s0 maps above |p| and brackets the root
     hi = np.maximum(2.0 * s, 1.0)
-    for _ in range(200):
-        short = _speed_map(hi, av, gp) < p
-        if not short.any():
-            break
-        hi[short] *= 2.0
 
     # absolute tolerance with a relative floor for very large momenta
     tol_arr = np.maximum(SPEED_TOL, 8.0 * _EPS * p)

@@ -78,6 +78,8 @@ NEWTON_DIVERGENCE = "newton_divergence"
 
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 25
+# the line search keeps every density value above this floor
+MIN_M_FLOOR = 1e-8
 BACKWARD_ERROR_GATE = 1e-10
 # SuperLU column ordering: minimum degree on the pattern of A + A^T
 PERMC_SPEC = "MMD_AT_PLUS_A"
@@ -109,10 +111,9 @@ class SingularSystemError(SolverError):
 class NewtonConfig:
     tol_residual: float = 1e-10
     max_iters: int = 30
-    min_m_floor: float = 1e-8
 
     def __post_init__(self) -> None:
-        values = (self.tol_residual, self.max_iters, self.min_m_floor)
+        values = (self.tol_residual, self.max_iters)
         if not all(math.isfinite(v) and v > 0 for v in values):
             raise ValueError("Newton configuration values must be positive "
                              f"and finite, got {values}")
@@ -474,10 +475,10 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
     when none is passed, so a factor is reused across iterations), then
     backtracks over t in {1, beta, beta^2, ...} (beta = BACKTRACK_FACTOR,
     at most MAX_BACKTRACKS times), accepting the first t that keeps
-    min(m + t delta_m) above max(floor, 0.1 min m) and reduces the
+    min(m + t delta_m) above max(MIN_M_FLOOR, 0.1 min m) and reduces the
     sup-norm residual.
     """
-    if float(np.min(init.m)) <= cfg.min_m_floor:
+    if float(np.min(init.m)) <= MIN_M_FLOOR:
         raise ValueError("initial density at or below the positivity floor")
     if linear is None:
         linear = LaggedLU(init.grid)
@@ -494,7 +495,7 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
         n = state.grid.npoints
         du, dm = delta[:n], delta[n:]
 
-        m_guard = max(cfg.min_m_floor, 0.1 * float(np.min(state.m)))
+        m_guard = max(MIN_M_FLOOR, 0.1 * float(np.min(state.m)))
         t = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
@@ -585,7 +586,7 @@ def two_level_run(models: MFGModels, newton_cfg: NewtonConfig,
         return None
     top = path.final_state
     u, m = fourier_resample(np.stack([top.u, top.m]), coarse, fine)
-    if float(np.min(m)) <= newton_cfg.min_m_floor:
+    if float(np.min(m)) <= MIN_M_FLOOR:
         return None
     try:
         result = newton_solve(MFGState(fine, u, m, 1.0), 1.0, models,

@@ -73,9 +73,6 @@ class MFGState:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"homotopy weight must lie in [0,1], got {self.lam}")
 
-    def copy(self) -> "MFGState":
-        return MFGState(self.grid, self.u.copy(), self.m.copy(), self.lam)
-
 
 @dataclass
 class ResidualPair:

@@ -57,11 +57,14 @@ class TestConfig:
             parse_config_text("grid.m = 12\n")
 
     @pytest.mark.parametrize("key", ["output.formats", "continuation.step_init",
-                                     "continuation.grow", "continuation.shrink"])
+                                     "continuation.grow", "continuation.shrink",
+                                     "hamiltonian.kind", "newton.min_m_floor"])
     def test_removed_key_rejected(self, key):
         with pytest.raises(ConfigError,
                            match=f"line 2: unrecognized key '{key}'"):
             parse_config_text(f"grid.n = 32\n{key} = 0.5\n")
+        with pytest.raises(ConfigError, match=f"unrecognized key '{key}'"):
+            parse_config_text(f"{key} = quadratic\n")
 
     def test_default_config_file_matches_builtin_defaults(self):
         assert load_config(DEFAULT_CONFIG) == RunConfig()
@@ -79,8 +82,6 @@ class TestConfig:
     def test_value_validation(self):
         with pytest.raises(ConfigError):
             validate_config(parse_config_text("hamiltonian.gamma = 2.5\n"))
-        with pytest.raises(ConfigError, match="hamiltonian.kind"):
-            validate_config(parse_config_text("hamiltonian.kind = quadratic\n"))
 
 
 class TestSolveCommand:
@@ -141,7 +142,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("line", [
         "newton.max_iters = 0", "newton.max_iters = -3", "newton.tol = nan",
-        "newton.tol = inf", "newton.min_m_floor = nan", "congestion.alpha = nan"])
+        "newton.tol = inf", "congestion.alpha = nan"])
     def test_escaping_value_exits_2_with_config_error(self, line, tmp_path,
                                                       capsys):
         path = tmp_path / "bad.cfg"
@@ -225,26 +226,23 @@ class TestAuditCommand:
         out = capsys.readouterr().out
         assert "zero_momentum_sign" in out and "[pass]" in out
 
-    def test_power_base_fails(self, tmp_path, capsys):
-        path = tmp_path / "power.cfg"
-        path.write_text("hamiltonian.kind = power\ngrid.n = 16\n")
-        assert main(["audit", "--config", str(path)]) == 4
-        assert "[FAIL] zero_momentum_sign" in capsys.readouterr().out
-
-    def test_blend_kind_fails_zero_momentum_sign(self, tmp_path, capsys):
-        path = tmp_path / "blend.cfg"
-        path.write_text("hamiltonian.kind = blend\ngrid.n = 16\n")
-        assert main(["audit", "--config", str(path)]) == 4
-        out = capsys.readouterr().out
-        assert "kind=blend" in out
-        assert "[FAIL] zero_momentum_sign" in out
-
     def test_alpha_out_of_range_fails(self, tmp_path, capsys):
         path = tmp_path / "alpha3.cfg"
         path.write_text("congestion.alpha = 3.0\ngrid.n = 16\n")
         assert main(["audit", "--config", str(path)]) == 4
         out = capsys.readouterr().out
         assert "[FAIL] alpha_range" in out
+        assert "inf alpha_tilde = " in out
+
+    def test_audits_the_hamiltonian_that_solve_solves(self, fast_config,
+                                                      capsys):
+        assert main(["audit", "--config", fast_config]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "assumption audit: gamma=1.25 alpha=1"
+        assert not any("kind=" in line for line in lines)
+        tilde = [l for l in lines if l.startswith("  inf alpha_tilde = ")]
+        assert len(tilde) == 1
+        assert tilde[0].endswith("(requires alpha < inf alpha_tilde)")
 
 
 class TestValidateCommand:
@@ -422,6 +420,48 @@ class TestSweepCommand:
                      *(f"{k}={v}" for k, v in lists.items())]) == 2
         assert capsys.readouterr().err.startswith(
             "config error: bad sweep list: ")
+        assert not out.exists()
+
+    def test_sets_up_once_for_all_pairs(self, fast_config, tmp_path,
+                                        monkeypatch):
+        from mfglab import cli
+
+        calls = []
+        real = cli.build_setup
+
+        def counted(cfg):
+            calls.append(cfg)
+            return real(cfg)
+        monkeypatch.setattr(cli, "build_setup", counted)
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--config", fast_config, "--out", out,
+                     "--gamma", "1.1,1.25", "--alpha", "0.5,1.0"]) == 0
+        assert len(calls) == 1
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            rows = fh.read().splitlines()[1:]
+        assert [r.split(",")[3] for r in rows] == ["true"] * 4
+
+    def test_pair_the_models_reject_is_a_setup_failure(
+            self, fast_config, tmp_path, capsys):
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--config", fast_config, "--out", out,
+                     "--override-admissibility",
+                     "--gamma", "2.5", "--alpha", "1.0"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("sweep pair gamma=2.5 alpha=1 failed to set up: ")
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            row = fh.read().splitlines()[1].split(",")
+        assert row[3] == "false" and row[4] == "0"
+
+    def test_bad_coefficient_field_exits_2_before_any_pair(self, tmp_path,
+                                                           capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("grid.n = 16\nhamiltonian.a = bogus\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(path), "--out", str(out),
+                     "--gamma", "1.1,1.25", "--alpha", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown coefficient field")
         assert not out.exists()
 
     def test_energy_residual_is_the_suite_certificate(

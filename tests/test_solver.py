@@ -350,7 +350,7 @@ class TestNewton:
         with pytest.raises(ValueError):
             NewtonConfig(tol_residual=-1e-10)
 
-    @pytest.mark.parametrize("field", ["tol_residual", "min_m_floor"])
+    @pytest.mark.parametrize("field", ["tol_residual"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_config_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
@@ -565,7 +565,7 @@ class TestTwoLevel:
 
         def dipped(values, src, dst):
             out = real(values, src, dst)
-            out[1, 7] = 0.5 * NewtonConfig().min_m_floor
+            out[1, 7] = 0.5 * solver.MIN_M_FLOOR
             return out
         monkeypatch.setattr(solver, "fourier_resample", dipped)
         path = continuation_run(default_models(self.FINE))
