@@ -1,7 +1,8 @@
 """Command-line entry point: solve, audit, validate, sweep.
 
-Exit codes: 0 success, 2 config/input error, 3 solver non-convergence,
-4 assumption audit failure, 5 validation failure.
+Exit codes: 0 success, 2 config/input error or unwritable outputs,
+3 solver non-convergence, 4 assumption audit failure, 5 validation
+failure.
 """
 
 from __future__ import annotations
@@ -107,7 +108,6 @@ def _path_summary(path) -> dict:
 
 
 def _write_solution_files(out_dir, grid, models, path) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     state = path.final_state
     write_field_csv(ScalarField(grid, state.u), os.path.join(out_dir, "u.csv"))
     write_field_csv(ScalarField(grid, state.m), os.path.join(out_dir, "m.csv"))
@@ -129,8 +129,10 @@ def cmd_solve(cfg: RunConfig, out_dir: str | None = None) -> int:
     if not _admissibility_gate(cfg):
         return EXIT_CONFIG
     grid, models, newton, step_min = build_setup(cfg)
+    out = out_dir or cfg.output_dir
+    os.makedirs(out, exist_ok=True)
     path = continuation_run(models, newton, step_min, log=print)
-    _write_solution_files(out_dir or cfg.output_dir, grid, models, path)
+    _write_solution_files(out, grid, models, path)
     if not path.reached_one:
         print(f"continuation stopped: {path.status} at "
               f"lambda={path.steps[-1].lam:.6g}: {path.reason}", file=sys.stderr)
@@ -273,8 +275,10 @@ def main(argv=None) -> int:
     for name in ("solve", "audit", "validate", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a section.key = value file")
-        p.add_argument("--out", help="output directory override")
-        p.add_argument("--override-admissibility", action="store_true")
+        if name != "audit":
+            p.add_argument("--out", help="output directory override")
+        if name in ("solve", "sweep"):
+            p.add_argument("--override-admissibility", action="store_true")
         if name == "validate":
             p.add_argument("--fields", help="directory holding u.csv and m.csv")
         if name == "sweep":
@@ -284,7 +288,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if args.override_admissibility:
+        if getattr(args, "override_admissibility", False):
             cfg.overrides_allow_inadmissible = True
         validate_config(cfg)
     except ConfigError as exc:
@@ -309,6 +313,9 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg, gammas, alphas, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError("unreachable")
 

@@ -5,8 +5,6 @@ comment, blank lines are ignored.  Parsing and serialization round-trip
 losslessly on all recognized keys.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, fields
 
@@ -40,20 +38,11 @@ class RunConfig:
     overrides_allow_inadmissible: bool = False
 
 
-_KEYS = {
-    "grid.d": ("grid_d", int),
-    "grid.n": ("grid_n", int),
-    "hamiltonian.gamma": ("hamiltonian_gamma", float),
-    "hamiltonian.a": ("hamiltonian_a", str),
-    "potential.b": ("potential_b", str),
-    "potential.sign": ("potential_sign", str),
-    "congestion.alpha": ("congestion_alpha", float),
-    "newton.tol": ("newton_tol", float),
-    "newton.max_iters": ("newton_max_iters", int),
-    "continuation.step_min": ("continuation_step_min", float),
-    "output.dir": ("output_dir", str),
-    "overrides.allow_inadmissible": ("overrides_allow_inadmissible", _parse_bool),
-}
+# config key -> (RunConfig field, converter): the key is the field name
+# with its first "_" read as ".", the converter its annotated type
+_KEYS = {f.name.replace("_", ".", 1):
+         (f.name, _parse_bool if f.type is bool else f.type)
+         for f in fields(RunConfig)}
 
 _FIELD_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
 

@@ -8,15 +8,17 @@ increment and an accepted one doubles it (step-length bisection, as in
 Allgower & Georg, Numerical Continuation Methods, 1990).  Density
 positivity is enforced inside the line search, never by projecting m.
 
-Each Newton system J delta = -F is solved by right-preconditioned GMRES
-that applies the exact Jacobian J, preconditioned by the most recent
-sparse LU factor, which is held for the whole continuation run (a lagged
-factor, as in inexact Newton-Krylov methods).  The Krylov solution is
-accepted when its true backward error ||J x - b|| / ||b|| is at most
-1e-10; otherwise J is factored afresh, the new factor solves the system
-under the same gate and replaces the held one.  Newton therefore keeps
-its quadratic contraction while consecutive Jacobians along the path
-share one factorization.
+Each Newton system J delta = -F is solved by one linear solver type,
+`LaggedLU`: right-preconditioned GMRES that applies the exact Jacobian
+J, preconditioned by the most recent sparse LU factor, which is held for
+the whole continuation run (a lagged factor, as in inexact Newton-Krylov
+methods).  The Krylov solution is accepted when its true backward error
+||J x - b|| / ||b|| is at most 1e-10; otherwise J is factored afresh by
+`solve_direct`, the new factor solves the system under the same gate
+and replaces the held one.  Newton therefore keeps its quadratic
+contraction while consecutive Jacobians along the path share one
+factorization.  Each converged Newton solve is one `NewtonResult`, and
+a continuation path is the list of them.
 
 On 2D grids SuperLU factors J and orders the columns by minimum degree
 on the pattern of A + A^T (PERMC_SPEC).  The Jacobian is a torus stencil
@@ -45,15 +47,17 @@ on the n / 2 grid with a and b sampled at every other point; its
 lam = 1 state is prolonged by Fourier zero-padding, which keeps the
 mass; one Newton solve at lam = 1 on the fine grid finishes the run.
 Its linear systems go through the same gated GMRES on the exact fine
-Jacobian, right-preconditioned by a two-grid cycle: damped block-Jacobi
-sweeps on the 2x2 (u_i, m_i) diagonal blocks around a coarse correction
-through the coarse run's held LU factor (as in Achdou & Perez,
-Iterative strategies for solving linearized discrete mean field games
-systems, 2012).  The fine Jacobian is factored only if that solve
-misses the gate.  If the coarse run stops short of lam = 1, the
-prolonged density reaches the positivity floor or the fine solve
-fails, the continuation runs on the fine grid itself.  At 2D n = 64
-the only factor is then the coarse one, with 270k entries against 1.48M.
+Jacobian: the fine grid's LaggedLU is given the coarse grid and the
+coarse run's held LU factor, and until it holds a factor of its own it
+preconditions by a two-grid cycle, damped block-Jacobi sweeps on the
+2x2 (u_i, m_i) diagonal blocks around a coarse correction through that
+coarse factor (as in Achdou & Perez, Iterative strategies for solving
+linearized discrete mean field games systems, 2012).  The fine Jacobian
+is factored only if that solve misses the gate.  If the coarse run
+stops short of lam = 1, the prolonged density reaches the positivity
+floor or the fine solve fails, the continuation runs on the fine grid
+itself.  At 2D n = 64 the only factor is then the coarse one, with 270k
+entries against 1.48M.
 """
 
 from __future__ import annotations
@@ -121,31 +125,29 @@ class NewtonConfig:
 
 @dataclass
 class NewtonResult:
+    """A converged Newton solve, and so one step of a continuation path.
+
+    `history` holds the sup-norm residual of the initial state and after
+    each accepted iteration, so `history[-1] == residual_norm`.
+    """
+
     state: MFGState
     iters: int
     residual_norm: float
     history: list[float]
 
-
-@dataclass
-class PathStep:
-    lam: float
-    state: MFGState
-    iters: int
-    residual_norm: float
-    min_m: float
-
-    @classmethod
-    def of(cls, result: NewtonResult) -> "PathStep":
-        """The step a converged Newton solve ends at."""
-        state = result.state
-        return cls(state.lam, state, result.iters, result.residual_norm,
-                   float(np.min(state.m)))
+    @property
+    def lam(self) -> float:
+        return self.state.lam
 
     @property
     def n(self) -> int:
-        """Points per axis of the grid the step's state lives on."""
+        """Points per axis of the grid the state lives on."""
         return self.state.grid.n
+
+    @property
+    def min_m(self) -> float:
+        return float(np.min(self.state.m))
 
     def log_line(self) -> str:
         return (f"lambda={self.lam:.17g} iters={self.iters} "
@@ -154,7 +156,7 @@ class PathStep:
 
 @dataclass
 class SolvePath:
-    steps: list[PathStep] = field(default_factory=list)
+    steps: list[NewtonResult] = field(default_factory=list)
     status: str = REACHED_ONE
     reason: str = ""  # message of the last rejected corrector attempt
 
@@ -236,28 +238,35 @@ def gmres(matvec, precond, rhs: np.ndarray, max_iters: int,
 
 
 class LaggedLU:
-    """Linear solver for Newton systems that keeps the last LU factor.
+    """Linear solver for Newton systems on `grid` that holds an LU factor.
 
-    `solve` first tries GMRES preconditioned by `precond` (the held
-    factor); only if that misses the backward-error gate does it refactor
-    through `solve_direct` on `grid` (the grid the matrices are Newton
-    matrices of, or None for any sparse matrix), which replaces the held
-    factor (or clears it when the factorization fails).  SuperLU factors
-    are held; band factors (1D grids) are not, so 1D systems are always
-    factored afresh.  One instance serves a whole continuation run, so a
-    factor outlives the Newton iteration that made it.
+    `solve` runs GMRES on the exact matrix, right-preconditioned by the
+    held factor if there is one, else by a two-grid cycle
+    (`two_grid_cycle`) through `coarse = (coarse_grid, coarse_factor)`,
+    an LU factor of a Jacobian of the same problem on that grid, if
+    given.  Only if there is no preconditioner or the Krylov solution
+    misses the backward-error gate does it refactor through
+    `solve_direct` on `grid` (None for any sparse matrix): the held
+    factor is dropped first, and the new one is held unless it is a band
+    factor, so 1D systems are always factored afresh.  One instance
+    serves a whole continuation run, so a factor outlives the Newton
+    iteration that made it.
     """
 
-    def __init__(self, grid: TorusGrid | None = None) -> None:
+    def __init__(self, grid: TorusGrid | None = None, coarse=None) -> None:
         self.grid = grid
+        self.coarse = coarse
         self.factor = None
 
-    def precond(self, matrix: sp.spmatrix):
-        """Preconditioner of GMRES on `matrix`, or None to factor it."""
-        return None if self.factor is None else self.factor.solve
-
     def solve(self, matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-        precond = self.precond(matrix)
+        if self.factor is not None:
+            precond = self.factor.solve
+        elif self.coarse is not None:
+            coarse, coarse_factor = self.coarse
+            precond = two_grid_cycle(matrix, coarse_factor.solve, self.grid,
+                                     coarse)
+        else:
+            precond = None
         if precond is not None:
             # aim a decade below the gate: in floating point the true
             # residual can sit slightly above the Givens estimate
@@ -265,29 +274,11 @@ class LaggedLU:
                             KRYLOV_MAX_ITERS, 0.1 * BACKWARD_ERROR_GATE)
             if backward_error(matrix, x, rhs) <= BACKWARD_ERROR_GATE:
                 return x
-        return solve_direct(matrix, rhs, self, self.grid)
-
-
-class TwoGridLU(LaggedLU):
-    """LaggedLU that preconditions by a two-grid cycle until it factors.
-
-    The cycle (`two_grid_cycle`) corrects on `coarse` through
-    `coarse_factor`, an LU factor of a Jacobian of the same problem on
-    that grid.  A gate miss refactors the fine matrix as LaggedLU does,
-    and the fine factor then preconditions the later solves.
-    """
-
-    def __init__(self, coarse_factor, fine: TorusGrid,
-                 coarse: TorusGrid) -> None:
-        super().__init__(fine)
-        self.coarse_factor = coarse_factor
-        self.coarse = coarse
-
-    def precond(self, matrix: sp.spmatrix):
-        if self.factor is None:
-            return two_grid_cycle(matrix, self.coarse_factor.solve,
-                                  self.grid, self.coarse)
-        return super().precond(matrix)
+        self.factor = None
+        x, factor = solve_direct(matrix, rhs, self.grid)
+        if not isinstance(factor, BandLU):
+            self.factor = factor
+        return x
 
 
 def fourier_resample(values: np.ndarray, src: TorusGrid,
@@ -431,18 +422,13 @@ class BandLU:
 
 
 def solve_direct(matrix: sp.spmatrix, rhs: np.ndarray,
-                 keep: LaggedLU | None = None,
-                 grid: TorusGrid | None = None) -> np.ndarray:
-    """LU solve with a backward-error gate of 1e-10.
+                 grid: TorusGrid | None = None):
+    """LU solve with a backward-error gate of 1e-10: returns (x, factor).
 
     On a 1D `grid` a matrix on the pattern of the grid's Jacobian
     template is factored as a band matrix (`BandLU`); every other matrix
-    by SuperLU.  With `keep`, its held factor is dropped first and, once
-    the solve passes the gate, replaced by a new SuperLU factor (band
-    factors are never held).
+    by SuperLU, whose factor is returned as a `SuperLU` object.
     """
-    if keep is not None:
-        keep.factor = None
     if not np.all(np.isfinite(matrix.data)):
         raise SingularSystemError("system matrix has non-finite entries")
     layout = band_layout(grid) if grid is not None and grid.d == 1 else None
@@ -461,9 +447,7 @@ def solve_direct(matrix: sp.spmatrix, rhs: np.ndarray,
     if backward > BACKWARD_ERROR_GATE:
         raise SingularSystemError(
             f"numerically rank-deficient system (backward error {backward:.3e})")
-    if keep is not None and not isinstance(factor, BandLU):
-        keep.factor = factor
-    return x
+    return x, factor
 
 
 def newton_solve(init: MFGState, lam: float, models: MFGModels,
@@ -563,13 +547,13 @@ def two_level_run(models: MFGModels, newton_cfg: NewtonConfig,
     The coarse problem samples a and b at every other point (injection)
     and is followed from lam = 0 to 1 by the continuation; its lam = 1
     state is prolonged by `fourier_resample`, which keeps the mass.  The
-    fine Newton solve uses a TwoGridLU on the coarse run's held factor,
-    so the fine Jacobian is factored only if a two-grid GMRES solve
-    misses the gate.  The returned path holds the coarse steps, each
-    state on the coarse grid, then the fine lam = 1 step.  Returns None
-    when the coarse run stops short of lam = 1 or holds no factor, when
-    the prolonged density is at or below the positivity floor, or when
-    the fine solve fails.
+    fine Newton solve uses a LaggedLU given the coarse grid and the
+    coarse run's held factor, so the fine Jacobian is factored only if a
+    two-grid GMRES solve misses the gate.  The returned path holds the
+    coarse steps, each state on the coarse grid, then the fine lam = 1
+    step.  Returns None when the coarse run stops short of lam = 1 or
+    holds no factor, when the prolonged density is at or below the
+    positivity floor, or when the fine solve fails.
     """
     fine = models.grid
     coarse = TorusGrid(fine.d, fine.n // 2)
@@ -590,10 +574,11 @@ def two_level_run(models: MFGModels, newton_cfg: NewtonConfig,
         return None
     try:
         result = newton_solve(MFGState(fine, u, m, 1.0), 1.0, models,
-                              newton_cfg, TwoGridLU(linear.factor, fine, coarse))
+                              newton_cfg,
+                              LaggedLU(fine, (coarse, linear.factor)))
     except SolverError:
         return None
-    path.steps.append(PathStep.of(result))
+    path.steps.append(result)
     return path
 
 
@@ -601,10 +586,9 @@ def _continue(models: MFGModels, newton_cfg: NewtonConfig, step_min: float,
               linear: LaggedLU, log=None) -> SolvePath:
     """The continuation of `continuation_run` on the models' own grid."""
     state = models.trivial_state()
-    res = residual(state, models)
+    rnorm = residual(state, models).sup_norm
     path = SolvePath()
-    path.steps.append(PathStep(0.0, state, 0, res.sup_norm,
-                               float(np.min(state.m))))
+    path.steps.append(NewtonResult(state, 0, rnorm, [rnorm]))
     if log is not None:
         log(path.steps[-1].log_line())
 
@@ -626,7 +610,7 @@ def _continue(models: MFGModels, newton_cfg: NewtonConfig, step_min: float,
             continue
         state = result.state
         lam = target
-        path.steps.append(PathStep.of(result))
+        path.steps.append(result)
         if log is not None:
             log(path.steps[-1].log_line())
         step *= 2.0

@@ -33,6 +33,20 @@ def fast_config(tmp_path):
     return str(path)
 
 
+def assert_cannot_write(err: str) -> None:
+    """One stderr line that reports an unwritable output directory."""
+    assert err.startswith("cannot write outputs: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.fixture
+def blocked_out(tmp_path):
+    """An --out path that is an existing file, so no directory can be made."""
+    path = tmp_path / "blocker"
+    path.write_text("")
+    return str(path)
+
+
 class TestConfig:
     def test_defaults_match_documented_values(self):
         cfg = RunConfig()
@@ -219,6 +233,14 @@ class TestSolveCommand:
                     open(os.path.join(out2, name), "rb") as f2:
                 assert f1.read() == f2.read(), name
 
+    def test_unwritable_out_exits_2_before_solving(self, fast_config,
+                                                    blocked_out, capsys):
+        assert main(["solve", "--config", fast_config,
+                     "--out", blocked_out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no continuation step was taken
+        assert_cannot_write(captured.err)
+
 
 class TestAuditCommand:
     def test_default_example_model_passes(self, fast_config, capsys):
@@ -378,6 +400,12 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(cfg),
                      "--fields", solved_dir]) == 2
 
+    def test_unwritable_out_exits_2(self, fast_config, solved_dir,
+                                    blocked_out, capsys):
+        assert main(["validate", "--config", fast_config,
+                     "--fields", solved_dir, "--out", blocked_out]) == 2
+        assert_cannot_write(capsys.readouterr().err)
+
 
 class TestSweepCommand:
     def test_small_sweep_table(self, fast_config, tmp_path):
@@ -464,6 +492,11 @@ class TestSweepCommand:
         assert err.startswith("config error: unknown coefficient field")
         assert not out.exists()
 
+    def test_unwritable_out_exits_2(self, fast_config, blocked_out, capsys):
+        assert main(["sweep", "--config", fast_config, "--out", blocked_out,
+                     "--gamma", "1.25", "--alpha", "0.5"]) == 2
+        assert_cannot_write(capsys.readouterr().err)
+
     def test_energy_residual_is_the_suite_certificate(
             self, fast_config, tmp_path, monkeypatch):
         from mfglab import cli
@@ -490,6 +523,19 @@ class TestSweepCommand:
         for row, (state, models) in zip(rows, finals):
             written = float(row.split(",")[-1])
             assert written == estimate_suite(state, models).energy_identity_residual
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--out", "x"],
+        ["audit", "--override-admissibility"],
+        ["validate", "--override-admissibility"],
+    ], ids=["audit_out", "audit_override", "validate_override"])
+    def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConsoleEntryPoint:

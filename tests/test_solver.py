@@ -8,8 +8,9 @@ from scipy.sparse.linalg import SuperLU, splu
 from helpers import default_models, smooth_field, two_dimensional_models
 from mfglab import solver, system
 from mfglab.grid import TorusGrid
-from mfglab.solver import (LaggedLU, NewtonConfig, NewtonDivergenceError,
-                           SingularSystemError, backward_error, band_layout,
+from mfglab.solver import (BandLU, LaggedLU, NewtonConfig,
+                           NewtonDivergenceError, SingularSystemError,
+                           backward_error, band_layout,
                            continuation_run, fourier_resample, gmres,
                            newton_solve, solve_direct)
 from mfglab.system import MFGState, assemble_jacobian, residual
@@ -61,7 +62,7 @@ class TestSolveDirect:
     def test_identity_reproduces_rhs(self):
         rng = np.random.default_rng(0)
         rhs = rng.standard_normal(64)
-        x = solve_direct(sp.identity(64, format="csr"), rhs)
+        x, _ = solve_direct(sp.identity(64, format="csr"), rhs)
         assert np.max(np.abs(x - rhs)) < 1e-14
 
     def test_random_spd_perturbed_system(self):
@@ -71,8 +72,17 @@ class TestSolveDirect:
         noise = sp.random(n, n, density=0.02, random_state=3) * 0.1
         mat = (base + noise).tocsr()
         rhs = rng.standard_normal(n)
-        x = solve_direct(mat, rhs)
+        x, _ = solve_direct(mat, rhs)
         assert np.linalg.norm(mat @ x - rhs) / np.linalg.norm(rhs) < 1e-10
+
+    def test_returns_a_band_factor_only_for_1d_newton_matrices(self):
+        grid = TorusGrid(1, 33)
+        jac, rhs = newton_system(grid)
+        assert isinstance(solve_direct(jac, rhs, grid=grid)[1], BandLU)
+        assert isinstance(solve_direct(jac, rhs)[1], SuperLU)
+        grid_2d = TorusGrid(2, 8)
+        jac, rhs = newton_system(grid_2d)
+        assert isinstance(solve_direct(jac, rhs, grid=grid_2d)[1], SuperLU)
 
     def test_duplicated_row_reported_singular(self):
         mat = sp.identity(8, format="lil")
@@ -188,12 +198,29 @@ class TestLaggedLU:
             assert isinstance(linear.factor, SuperLU)
             assert backward_error(jac, x, np.ones(jac.shape[0])) <= 1e-10
 
+    def test_coarse_level_preconditions_until_a_gate_miss(self, monkeypatch):
+        fine, coarse = TorusGrid(2, 32), TorusGrid(2, 16)
+        coarse_jac, coarse_rhs = newton_system(coarse)
+        _, coarse_factor = solve_direct(coarse_jac, coarse_rhs)
+        jac, rhs = newton_system(fine)
+        linear = LaggedLU(fine, (coarse, coarse_factor))
+        calls = count_factorizations(monkeypatch)
+        x = linear.solve(jac, rhs)
+        assert calls == [] and linear.factor is None
+        assert backward_error(jac, x, rhs) <= 1e-10
+        # one Krylov iteration misses the gate
+        monkeypatch.setattr(solver, "KRYLOV_MAX_ITERS", 1)
+        x = linear.solve(jac, rhs)
+        assert calls == [jac.shape]
+        assert isinstance(linear.factor, SuperLU)
+        assert linear.factor.shape == jac.shape
+        assert backward_error(jac, x, rhs) <= 1e-10
+
     def test_minimum_degree_ordering_cuts_fill(self):
         jac = jacobian_2d()
-        keep = LaggedLU()
-        x = solve_direct(jac, np.ones(jac.shape[0]), keep)
+        x, factor = solve_direct(jac, np.ones(jac.shape[0]))
         colamd = splu(jac.tocsc(), permc_spec="COLAMD")
-        assert keep.factor.nnz <= 0.75 * colamd.nnz
+        assert factor.nnz <= 0.75 * colamd.nnz
         assert backward_error(jac, x, np.ones(jac.shape[0])) <= 1e-10
 
 
@@ -208,7 +235,7 @@ class TestBandLU:
         assert (layout.kl, layout.ku) == (9, 7)
         band = []
         calls = count_factorizations(monkeypatch, band)
-        x = solve_direct(jac, rhs, grid=grid)
+        x, _ = solve_direct(jac, rhs, grid=grid)
         assert calls == band == [jac.shape]
         reference = splu(jac.tocsc()).solve(rhs)
         assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
@@ -237,7 +264,7 @@ class TestBandLU:
         assert not band_layout(grid).fits(other)
         band = []
         calls = count_factorizations(monkeypatch, band)
-        x = solve_direct(other, rhs, grid=grid)
+        x, _ = solve_direct(other, rhs, grid=grid)
         assert band == [] and calls == [other.shape]  # SuperLU's instead
         assert backward_error(other, x, rhs) <= 1e-10
         reference = np.linalg.solve(other.toarray(), rhs)
@@ -258,7 +285,7 @@ class TestFactorReuse:
     def test_matches_refactoring_at_every_iteration(self, monkeypatch):
         path = self.run()
         monkeypatch.setattr(LaggedLU, "solve",
-                            lambda self, matrix, rhs: solve_direct(matrix, rhs))
+                            lambda self, matrix, rhs: solve_direct(matrix, rhs)[0])
         calls = count_factorizations(monkeypatch)
         reference = self.run()
         assert len(calls) == reference.total_iters
@@ -279,7 +306,7 @@ class TestFactorReuse:
         assert path.reached_one and path.lambdas == [0.0, 1.0]
         assert len(calls) == 1 < path.total_iters
         monkeypatch.setattr(LaggedLU, "solve",
-                            lambda self, matrix, rhs: solve_direct(matrix, rhs))
+                            lambda self, matrix, rhs: solve_direct(matrix, rhs)[0])
         reference = continuation_run(models)
         assert reference.lambdas == [0.0, 1.0]
         final, ref = path.final_state, reference.final_state
@@ -449,6 +476,22 @@ class TestContinuation:
             assert set(fields) == {"lambda", "iters", "residual", "min_m"}
             float(fields["lambda"]), int(fields["iters"])
             float(fields["residual"]), float(fields["min_m"])
+
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 64), TorusGrid(2, 64)])
+    def test_every_step_carries_its_residual_history(self, grid):
+        path = continuation_run(default_models(grid))
+        assert path.reached_one
+        assert path.steps[0].history == [path.steps[0].residual_norm]
+        for step in path.steps:
+            assert step.history[-1] == step.residual_norm
+            assert len(step.history) == step.iters + 1
+
+    def test_step_summary_is_read_from_the_state(self):
+        step = continuation_run(default_models(TorusGrid(1, 32))).steps[-1]
+        assert (step.lam, step.n) == (step.state.lam, 32)
+        assert step.min_m == float(np.min(step.state.m))
+        with pytest.raises(AttributeError):
+            step.lam = 0.5
 
     def test_final_residual_recomputes(self):
         grid = TorusGrid(1, 64)
