@@ -3,6 +3,9 @@
 Exit codes: 0 success, 2 config/input error or unwritable outputs,
 3 solver non-convergence, 4 assumption audit failure, 5 validation
 failure.
+
+Only `solve` and `sweep` import the solver, and with it scipy, so
+`audit` and `validate` start on numpy alone.
 """
 
 from __future__ import annotations
@@ -15,14 +18,14 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, validate_config
+from .config import (ConfigError, NewtonConfig, RunConfig, load_config,
+                     validate_config)
 from .diagnostics import (CertifyThresholds, certify, energy_identity,
                           estimate_suite)
 from .grid import (ScalarField, TorusGrid, read_field_csv, write_field_csv,
                    write_grid_table)
 from .hamiltonian import (admissible_alpha_max, audit_assumptions,
                           check_parameter_admissibility, coefficient_field)
-from .solver import NewtonConfig, continuation_run
 from .system import (MFGModels, MFGState, PerturbationPair, bilinear_form,
                      linearize)
 
@@ -126,6 +129,8 @@ def _write_solution_files(out_dir, grid, models, path) -> None:
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str | None = None) -> int:
+    from .solver import continuation_run
+
     if not _admissibility_gate(cfg):
         return EXIT_CONFIG
     grid, models, newton, step_min = build_setup(cfg)
@@ -206,6 +211,8 @@ def cmd_validate(cfg: RunConfig, fields_dir: str, out_dir: str | None = None) ->
 
 def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
               out_dir: str | None = None) -> int:
+    from .solver import continuation_run
+
     if not gamma_list or not alpha_list:
         print("sweep needs non-empty gamma and alpha lists", file=sys.stderr)
         return EXIT_CONFIG

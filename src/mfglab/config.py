@@ -2,7 +2,8 @@
 
 The format is line oriented: one assignment per line, `#` starts a
 comment, blank lines are ignored.  Parsing and serialization round-trip
-losslessly on all recognized keys.
+losslessly on all recognized keys.  `NewtonConfig`, the corrector's
+settings, lives here too, so setting up a command imports no solver.
 """
 
 import math
@@ -36,6 +37,21 @@ class RunConfig:
     continuation_step_min: float = 1e-4
     output_dir: str = "out"
     overrides_allow_inadmissible: bool = False
+
+
+@dataclass(frozen=True)
+class NewtonConfig:
+    """Newton corrector settings, read from `newton.tol` and
+    `newton.max_iters` (`cli.build_setup`)."""
+
+    tol_residual: float = 1e-10
+    max_iters: int = 30
+
+    def __post_init__(self) -> None:
+        values = (self.tol_residual, self.max_iters)
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            raise ValueError("Newton configuration values must be positive "
+                             f"and finite, got {values}")
 
 
 # config key -> (RunConfig field, converter): the key is the field name

@@ -77,9 +77,13 @@ class TorusGrid:
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.d
 
+    def axis(self) -> np.ndarray:
+        """Coordinates of the n points along one axis."""
+        return np.arange(self.n) * self.h
+
     def coords(self) -> np.ndarray:
         """Grid point coordinates, shape (N, d), row-major ordering."""
-        axis = np.arange(self.n) * self.h
+        axis = self.axis()
         if self.d == 1:
             return axis[:, None]
         x, y = np.meshgrid(axis, axis, indexing="ij")

@@ -292,14 +292,14 @@ def coefficient_field(grid: TorusGrid, descriptor: str) -> np.ndarray:
     ``fourier:c0,s1,c1[,s2,c2,...]`` meaning
     c0 + sum_k [ s_k sin(2 pi k x1) + c_k cos(2 pi k x1) ].
     """
-    x1 = grid.coords()[:, 0]
     if descriptor == "one":
         return np.ones(grid.npoints)
+    x1 = grid.axis()
     if descriptor == "sin_bump":
-        return 1.0 + 0.5 * np.sin(2.0 * np.pi * x1)
-    if descriptor == "cos_bump":
-        return 0.5 * np.cos(2.0 * np.pi * x1)
-    if descriptor.startswith("fourier:"):
+        line = 1.0 + 0.5 * np.sin(2.0 * np.pi * x1)
+    elif descriptor == "cos_bump":
+        line = 0.5 * np.cos(2.0 * np.pi * x1)
+    elif descriptor.startswith("fourier:"):
         try:
             coeffs = [float(tok) for tok in descriptor[len("fourier:"):].split(",")]
         except ValueError as exc:
@@ -308,15 +308,18 @@ def coefficient_field(grid: TorusGrid, descriptor: str) -> np.ndarray:
             raise ValueError(f"empty Fourier coefficient list in {descriptor!r}")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError(f"non-finite Fourier coefficient in {descriptor!r}")
-        out = np.full(grid.npoints, coeffs[0])
+        line = np.full(grid.n, coeffs[0])
         pairs = coeffs[1:]
         for k in range(0, len(pairs), 2):
             mode = k // 2 + 1
-            out += pairs[k] * np.sin(2.0 * np.pi * mode * x1)
+            line += pairs[k] * np.sin(2.0 * np.pi * mode * x1)
             if k + 1 < len(pairs):
-                out += pairs[k + 1] * np.cos(2.0 * np.pi * mode * x1)
-        return out
-    raise ValueError(f"unknown coefficient field descriptor {descriptor!r}")
+                line += pairs[k + 1] * np.cos(2.0 * np.pi * mode * x1)
+    else:
+        raise ValueError(f"unknown coefficient field descriptor {descriptor!r}")
+    # every field depends on x1 alone, which row-major order holds fixed
+    # over each run of n^(d-1) consecutive points
+    return np.repeat(line, grid.npoints // grid.n)
 
 
 # -- parameter admissibility --------------------------------------------

@@ -62,7 +62,6 @@ entries against 1.48M.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -72,6 +71,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
+from .config import NewtonConfig
 from .grid import TorusGrid
 from .system import (JacobianTemplate, MFGModels, MFGState,
                      assemble_jacobian, jacobian_template, residual)
@@ -109,18 +109,6 @@ class NewtonDivergenceError(SolverError):
 
 class SingularSystemError(SolverError):
     """Direct factorization failed or produced an unusable solution."""
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    tol_residual: float = 1e-10
-    max_iters: int = 30
-
-    def __post_init__(self) -> None:
-        values = (self.tol_residual, self.max_iters)
-        if not all(math.isfinite(v) and v > 0 for v in values):
-            raise ValueError("Newton configuration values must be positive "
-                             f"and finite, got {values}")
 
 
 @dataclass

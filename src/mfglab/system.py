@@ -31,6 +31,9 @@ data of the two I - lap blocks and a sparse map S from the stacked
 coefficients c = (DpH, density coupling, m^(1-alpha) DppH, W) to the
 matrix data, so an assembly is data = data0 + S c.  Entries whose
 value vanishes at a state stay in the pattern as explicit zeros.
+`jacobian_template` and `assemble_jacobian` are the only code here
+that needs scipy, and they import it when first called: the residual,
+the linearization and the bilinear form run on numpy alone.
 
 The swap map P(v, f) = (f, -v) and the bilinear form
 
@@ -47,9 +50,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+# scipy.sparse is imported inside the two functions that build a matrix,
+# `jacobian_template` and `assemble_jacobian`, so that commands which
+# never build one (`validate`, `audit`) start without loading scipy
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .grid import TorusGrid
 from .hamiltonian import (SIGN_CONVENTIONS, HamiltonianEval, blend_eval,
@@ -234,6 +243,8 @@ def jacobian_template(grid: TorusGrid) -> JacobianTemplate:
     state; entries whose value happens to vanish stay in it as explicit
     zeros.
     """
+    import scipy.sparse as sp
+
     N, d, n = grid.npoints, grid.d, grid.n
     base = _stencil(lambda f: f - grid.laplacian(f), grid)
     grad_steps = [_stencil(lambda f: grid.gradient(f)[:, ax], grid)
@@ -313,6 +324,8 @@ def assemble_jacobian(state: MFGState, models: MFGModels,
     filled into the grid's cached `jacobian_template`.  Pass the `lin`
     of the state's residual to skip evaluating the Hamiltonian again.
     """
+    import scipy.sparse as sp
+
     if lin is None:
         lin = linearize(state, models)
     grid = state.grid
@@ -337,9 +350,9 @@ def apply_linearized(state: MFGState, models: MFGModels,
     Dv = grid.gradient(v)
     row1 = (v - grid.laplacian(v) + lin.density_coupling * f
             + np.einsum("ki,ki->k", lin.ev.DpH, Dv))
-    flux = (lin.ev.DpH * f[:, None]
-            + lin.m_scale[:, None] * np.einsum("kij,kj->ki", lin.ev.DppH, Dv)
-            - models.alpha * f[:, None] * np.einsum("kij,kj->ki", lin.ev.DppH, lin.Q))
+    # W = DpH - alpha DppH Q, the coefficient of f that the dmm block reads
+    flux = (lin.W * f[:, None]
+            + lin.m_scale[:, None] * np.einsum("kij,kj->ki", lin.ev.DppH, Dv))
     row2 = f - grid.laplacian(f) - grid.divergence(flux)
     return PerturbationPair(row1, row2)
 

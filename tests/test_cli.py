@@ -552,6 +552,60 @@ class TestConsoleEntryPoint:
         assert "zero_momentum_sign" in proc.stdout
 
 
+class TestStartup:
+    """`audit` and `validate` build no matrix, so they run without scipy."""
+
+    @pytest.mark.parametrize("block_scipy", [True, False],
+                             ids=["scipy_unimportable", "scipy_importable"])
+    def test_audit_and_validate_load_no_scipy(self, fast_config, tmp_path,
+                                              block_scipy):
+        import subprocess
+        import sys
+
+        import mfglab
+
+        fields = str(tmp_path / "fields")
+        here = str(tmp_path / "here")
+        assert main(["solve", "--config", fast_config, "--out", fields]) == 0
+        assert main(["validate", "--config", fast_config, "--fields", fields,
+                     "--out", here]) == 0
+        there = str(tmp_path / "there")
+        script = "\n".join([
+            "import sys",
+            "sys.modules['scipy'] = None" if block_scipy else "",
+            "def loaded():",
+            "    return [k for k, v in sys.modules.items()",
+            "            if k.split('.')[0] == 'scipy' and v is not None]",
+            "from mfglab import cli",
+            "assert not loaded(), loaded()",
+            f"assert cli.main(['audit', '--config', {fast_config!r}]) == 0",
+            f"assert cli.main(['validate', '--config', {fast_config!r},"
+            f" '--fields', {fields!r}, '--out', {there!r}]) == 0",
+            "assert not loaded(), loaded()",
+        ])
+        src = os.path.dirname(os.path.dirname(mfglab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        with open(os.path.join(here, "diagnostics.json"), "rb") as fh:
+            expected = fh.read()
+        with open(os.path.join(there, "diagnostics.json"), "rb") as fh:
+            assert fh.read() == expected
+
+    def test_solver_names_resolve_to_the_solver_module(self):
+        import mfglab
+        from mfglab import config, solver
+
+        assert mfglab.continuation_run is solver.continuation_run
+        assert mfglab.newton_solve is solver.newton_solve
+        assert mfglab.SolvePath is solver.SolvePath
+        assert solver.NewtonConfig is config.NewtonConfig
+        assert mfglab.NewtonConfig is config.NewtonConfig
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mfglab.no_such_name
+
+
 class TestJsonFormatting:
     def test_floats_rendered_at_17_digits(self):
         from mfglab.cli import format_json

@@ -471,6 +471,24 @@ class TestCoefficientFields:
         expected = 1 + 0.5 * np.sin(2 * np.pi * x) + 0.25 * np.cos(4 * np.pi * x)
         assert np.allclose(f, expected, atol=1e-15)
 
+    @pytest.mark.parametrize("descriptor, formula", [
+        ("one", lambda x: np.ones_like(x)),
+        ("sin_bump", lambda x: 1.0 + 0.5 * np.sin(2.0 * np.pi * x)),
+        ("cos_bump", lambda x: 0.5 * np.cos(2.0 * np.pi * x)),
+        ("fourier:1.0,0.5,-0.2,0.0,0.25",
+         lambda x: (1.0 + 0.5 * np.sin(2.0 * np.pi * x)
+                    + -0.2 * np.cos(2.0 * np.pi * x)
+                    + 0.0 * np.sin(2.0 * np.pi * 2 * x)
+                    + 0.25 * np.cos(2.0 * np.pi * 2 * x))),
+    ], ids=["one", "sin_bump", "cos_bump", "fourier"])
+    def test_2d_field_equals_the_pointwise_formula_bit_for_bit(
+            self, descriptor, formula):
+        # evaluated on the x1 axis and repeated along x2, the field must
+        # equal the formula evaluated at every one of the N points
+        grid = TorusGrid(2, 24)
+        x1 = grid.coords()[:, 0]
+        assert np.array_equal(coefficient_field(grid, descriptor), formula(x1))
+
     def test_unknown_descriptor_rejected(self):
         with pytest.raises(ValueError):
             coefficient_field(TorusGrid(1, 32), "bump")
