@@ -52,7 +52,13 @@ coarse run's held LU factor, and until it holds a factor of its own it
 preconditions by a two-grid cycle, damped block-Jacobi sweeps on the
 2x2 (u_i, m_i) diagonal blocks around a coarse correction through that
 coarse factor (as in Achdou & Perez, Iterative strategies for solving
-linearized discrete mean field games systems, 2012).  The fine Jacobian
+linearized discrete mean field games systems, 2012).  The residual is
+restricted and the correction prolonged by `fourier_resample`, which
+applies the Fourier transfer as small dense per-axis matrices, cached
+per pair of grid sizes, rather than by FFTs.  At 2D n = 64 one cycle
+then takes about 1.2 ms: 0.4 ms in the coarse triangular solves, 0.09
+ms in each of its four sparse products (the first sweep starts from
+x = 0 and needs none) and 0.03 ms in each transfer.  The fine Jacobian
 is factored only if that solve misses the gate.  If the coarse run
 stops short of lam = 1, the prolonged density reaches the positivity
 floor or the fine solve fails, the continuation runs on the fine grid
@@ -62,6 +68,7 @@ entries against 1.48M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -89,9 +96,11 @@ BACKWARD_ERROR_GATE = 1e-10
 PERMC_SPEC = "MMD_AT_PLUS_A"
 KRYLOV_MAX_ITERS = 20
 # 2D grids with even n and n / 2 at least this are solved from the n / 2
-# solution (`two_level_run`).  On one core of a 2-vCPU Xeon, the default
-# 2D n = 64 problem then takes 0.064 s against 0.129 s, while at n = 32
-# (coarse n = 16) the gain is 2 ms of 21 ms.
+# solution (`two_level_run`).  On one core of a 2-vCPU Xeon (medians of
+# alternated runs), the default 2D n = 64 problem then takes 0.072 s
+# against 0.18 s on the grid itself.  At n = 32 (coarse n = 16) two
+# levels would take 24 ms against 34 ms, but 2D n = 32 is kept on the
+# single-level path, the grid on which that path is tested in 2D.
 TWO_LEVEL_MIN_COARSE_N = 32
 # block-Jacobi smoothing of `two_grid_cycle`: sweeps before and after the
 # coarse correction, and their damping
@@ -280,22 +289,48 @@ def fourier_resample(values: np.ndarray, src: TorusGrid,
     and folded back onto itself when restricted, so restricting a
     prolongation is the identity, a trigonometric polynomial resolved on
     both grids is resampled exactly, and every field keeps its mean.
+
+    The map is linear and acts on each axis alike, so it is applied as
+    the cached per-axis matrix T = `transfer_matrix(src.n, dst.n)`:
+    `values @ T` in 1D and T^T X T on each (n, n) field X in 2D.  That is
+    two small dense products per field and no FFT: at 2D n = 64 a stack
+    of two fields takes about 0.03 ms against 0.35 ms by FFT (one core
+    of a 2-vCPU Xeon).
     """
-    low = min(src.n, dst.n)
+    T = transfer_matrix(src.n, dst.n)
+    lead = np.shape(values)[:-1]
+    out = np.reshape(values, lead + src.shape) @ T
+    if src.d == 2:
+        out = T.T @ out
+    return out.reshape(lead + (dst.npoints,))
+
+
+@lru_cache(maxsize=16)
+def transfer_matrix(n_src: int, n_dst: int) -> np.ndarray:
+    """The read-only (n_src, n_dst) matrix of `fourier_resample` on one axis.
+
+    Entry (j, l) is (1 / n_src) sum_k w_k exp(2 pi i k (l / n_dst - j / n_src))
+    over the kept modes k with their Nyquist weights w_k.  It depends on
+    (j, l) only through q = (l n_src - j n_dst) / g mod M, where
+    g = gcd(n_src, n_dst) and M = n_src n_dst / g, so the sums for every q
+    come from one inverse FFT of length M and T is gathered from them:
+    O(n_src n_dst + M) memory.
+    """
+    low = min(n_src, n_dst)
     k = np.arange(-(low // 2), low // 2 + 1)
     weight = np.ones(k.size)
-    if low % 2 == 0 and low == src.n:
+    if low % 2 == 0 and low == n_src:
         weight[[0, -1]] = 0.5
-    lead = np.shape(values)[:-1]
-    out = np.reshape(values, lead + src.shape)
-    for ax in range(-src.d, 0):
-        spec = np.moveaxis(np.fft.fft(out, axis=ax), ax, 0)
-        terms = weight.reshape((-1,) + (1,) * (spec.ndim - 1)) * spec[k % src.n]
-        modes = np.zeros((dst.n,) + spec.shape[1:], dtype=complex)
-        modes[k[:-1] % dst.n] = terms[:-1]
-        modes[k[-1] % dst.n] += terms[-1]  # k = +-low / 2 meet when restricting
-        out = np.moveaxis(np.fft.ifft(modes, axis=0).real, 0, ax)
-    return out.reshape(lead + (dst.npoints,)) * (dst.n / src.n) ** src.d
+    g = math.gcd(n_src, n_dst)
+    M = n_src * n_dst // g
+    modes = np.zeros(M)
+    np.add.at(modes, k % M, weight)  # k = +-low / 2 meet when n_src == n_dst
+    kernel = np.fft.ifft(modes).real * (M / n_src)
+    q = np.add.outer(-(n_dst // g) * np.arange(n_src),
+                     (n_src // g) * np.arange(n_dst))
+    T = kernel[np.remainder(q, M, out=q)]
+    T.flags.writeable = False
+    return T
 
 
 def two_grid_cycle(matrix: sp.spmatrix, coarse_solve, fine: TorusGrid,
@@ -306,7 +341,9 @@ def two_grid_cycle(matrix: sp.spmatrix, coarse_solve, fine: TorusGrid,
     the 2x2 (u_i, m_i) diagonal blocks of `matrix`, a coarse correction
     `coarse_solve` of the residual restricted to `coarse` and prolonged
     back (both by `fourier_resample`), then SMOOTHING_SWEEPS more
-    sweeps.  A fixed linear map of r, as GMRES needs.
+    sweeps.  The first sweep starts from x = 0, so it is the damped
+    block solve of r itself, without a product with the matrix.  A fixed
+    linear map of r, as GMRES needs.
     """
     N = fine.npoints
     diag = matrix.diagonal()
@@ -314,15 +351,17 @@ def two_grid_cycle(matrix: sp.spmatrix, coarse_solve, fine: TorusGrid,
     det = a * d - b * c
     a, b, c, d = a / det, b / det, c / det, d / det
 
-    def smooth(x, r):
-        res = r - matrix @ x
+    def block_solve(res):
         ru, rm = res[:N], res[N:]
-        return x + SMOOTHING_DAMPING * np.concatenate(
+        return SMOOTHING_DAMPING * np.concatenate(
             [d * ru - b * rm, a * rm - c * ru])
 
+    def smooth(x, r):
+        return x + block_solve(r - matrix @ x)
+
     def cycle(r):
-        x = np.zeros_like(r)
-        for _ in range(SMOOTHING_SWEEPS):
+        x = block_solve(r)
+        for _ in range(SMOOTHING_SWEEPS - 1):
             x = smooth(x, r)
         res = fourier_resample((r - matrix @ x).reshape(2, N), fine, coarse)
         correction = coarse_solve(res.ravel()).reshape(2, coarse.npoints)

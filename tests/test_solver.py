@@ -1,5 +1,7 @@
 """Newton corrector and continuation driver behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +14,8 @@ from mfglab.solver import (BandLU, LaggedLU, NewtonConfig,
                            NewtonDivergenceError, SingularSystemError,
                            backward_error, band_layout,
                            continuation_run, fourier_resample, gmres,
-                           newton_solve, solve_direct)
+                           newton_solve, solve_direct, transfer_matrix,
+                           two_grid_cycle)
 from mfglab.system import MFGState, assemble_jacobian, residual
 
 
@@ -38,6 +41,29 @@ def count_factorizations(monkeypatch, band_calls: list | None = None) -> list:
     monkeypatch.setattr(solver, "splu", counted)
     monkeypatch.setattr(solver, "dgbtrf", counted_band)
     return calls
+
+
+def fft_resample(values: np.ndarray, src: TorusGrid,
+                 dst: TorusGrid) -> np.ndarray:
+    """`fourier_resample` computed by FFTs: zero-pad or truncate each axis.
+
+    The reference the per-axis transfer matrices are checked against.
+    """
+    low = min(src.n, dst.n)
+    k = np.arange(-(low // 2), low // 2 + 1)
+    weight = np.ones(k.size)
+    if low % 2 == 0 and low == src.n:
+        weight[[0, -1]] = 0.5
+    lead = np.shape(values)[:-1]
+    out = np.reshape(values, lead + src.shape)
+    for ax in range(-src.d, 0):
+        spec = np.moveaxis(np.fft.fft(out, axis=ax), ax, 0)
+        terms = weight.reshape((-1,) + (1,) * (spec.ndim - 1)) * spec[k % src.n]
+        modes = np.zeros((dst.n,) + spec.shape[1:], dtype=complex)
+        modes[k[:-1] % dst.n] = terms[:-1]
+        modes[k[-1] % dst.n] += terms[-1]  # k = +-low / 2 meet when restricting
+        out = np.moveaxis(np.fft.ifft(modes, axis=0).real, 0, ax)
+    return out.reshape(lead + (dst.npoints,)) * (dst.n / src.n) ** src.d
 
 
 def newton_system(grid: TorusGrid) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -536,6 +562,35 @@ class TestFourierResample:
                                 fine, coarse)
         assert np.max(np.abs(back - values)) <= 1e-14
 
+    @pytest.mark.parametrize("d, n_from, n_to", [
+        (1, 16, 32), (1, 33, 66), (2, 16, 32), (2, 32, 16), (2, 33, 66),
+        (2, 66, 33), (2, 64, 32), (2, 32, 64), (1, 66, 33), (2, 128, 64),
+        (2, 64, 128), (1, 512, 256)])
+    def test_matches_the_fft_reference(self, d, n_from, n_to):
+        src, dst = TorusGrid(d, n_from), TorusGrid(d, n_to)
+        values = np.random.default_rng(13).standard_normal((2, src.npoints))
+        out = fourier_resample(values, src, dst)
+        assert out.shape == (2, dst.npoints)
+        assert np.max(np.abs(out - fft_resample(values, src, dst))) <= \
+            1e-13 * np.max(np.abs(values))
+
+    def test_transfer_matrix_is_built_in_quadratic_memory(self):
+        tracemalloc.start()
+        try:
+            T = transfer_matrix.__wrapped__(512, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert T.shape == (512, 256)
+        assert peak < 8 * 2**20
+
+    def test_cached_transfer_matrix_is_read_only(self):
+        T = transfer_matrix(64, 32)
+        assert transfer_matrix(64, 32) is T
+        assert not T.flags.writeable
+        with pytest.raises(ValueError):
+            T[0, 0] = 1.0
+
 
 class TestTwoLevel:
     """2D n = 64 runs go through the n = 32 solution and a two-grid Newton."""
@@ -615,6 +670,41 @@ class TestTwoLevel:
         assert path.reached_one
         assert [s.n for s in path.steps] == [64, 64]
 
+    def test_fine_gmres_takes_at_most_nine_iterations(self, monkeypatch):
+        iterations = []
+        real = solver.gmres
+
+        def counted(matvec, precond, rhs, max_iters, tol):
+            x, k, estimate = real(matvec, precond, rhs, max_iters, tol)
+            if rhs.size == 2 * self.FINE.npoints:
+                iterations.append(k)
+            return x, k, estimate
+        monkeypatch.setattr(solver, "gmres", counted)
+        calls = count_factorizations(monkeypatch)
+        path = continuation_run(default_models(self.FINE))
+        assert [s.n for s in path.steps] == [32, 32, 64]
+        assert calls == [(2 * 32**2, 2 * 32**2)]  # no fine Jacobian factored
+        assert len(iterations) == path.steps[-1].iters
+        assert max(iterations) <= 9
+
+    def test_zero_start_cycle_equals_the_full_first_sweep(self):
+        """The cycle skips the product with x = 0 and changes no bit."""
+        coarse = TorusGrid(2, 32)
+        linear = LaggedLU(coarse)
+        top = newton_solve(default_models(coarse).trivial_state(), 1.0,
+                           default_models(coarse), linear=linear).state
+        u, m = fourier_resample(np.stack([top.u, top.m]), coarse, self.FINE)
+        models = default_models(self.FINE)
+        state = MFGState(self.FINE, u, m, 1.0)
+        res = residual(state, models)
+        matrix = assemble_jacobian(state, models, res.lin)
+        cycle = two_grid_cycle(matrix, linear.factor.solve, self.FINE, coarse)
+        rng = np.random.default_rng(14)
+        for r in [-res.stack(), rng.standard_normal(2 * self.FINE.npoints)]:
+            expected = reference_cycle(matrix, linear.factor.solve, r,
+                                       self.FINE, coarse)
+            assert np.array_equal(cycle(r), expected)
+
     def test_gate_miss_refactors_the_fine_jacobian(self, monkeypatch):
         # one Krylov iteration misses the gate on every grid
         monkeypatch.setattr(solver, "KRYLOV_MAX_ITERS", 1)
@@ -625,6 +715,30 @@ class TestTwoLevel:
         assert [s.n for s in path.steps] == [32, 32, 64]
         assert (2 * 64**2, 2 * 64**2) in calls
         assert residual(path.final_state, models).sup_norm < 1e-10
+
+
+def reference_cycle(matrix, coarse_solve, r, fine, coarse):
+    """`two_grid_cycle` applied to r, each sweep from x = 0 included."""
+    N = fine.npoints
+    diag = matrix.diagonal()
+    a, b, c, d = diag[:N], matrix.diagonal(N), matrix.diagonal(-N), diag[N:]
+    det = a * d - b * c
+    a, b, c, d = a / det, b / det, c / det, d / det
+
+    def smooth(x):
+        res = r - matrix @ x
+        ru, rm = res[:N], res[N:]
+        return x + solver.SMOOTHING_DAMPING * np.concatenate(
+            [d * ru - b * rm, a * rm - c * ru])
+    x = np.zeros_like(r)
+    for _ in range(solver.SMOOTHING_SWEEPS):
+        x = smooth(x)
+    res = fourier_resample((r - matrix @ x).reshape(2, N), fine, coarse)
+    correction = coarse_solve(res.ravel()).reshape(2, coarse.npoints)
+    x += fourier_resample(correction, coarse, fine).ravel()
+    for _ in range(solver.SMOOTHING_SWEEPS):
+        x = smooth(x)
+    return x
 
 
 class TestUniqueness:
