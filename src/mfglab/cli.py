@@ -20,8 +20,7 @@ import numpy as np
 
 from .config import (ConfigError, NewtonConfig, RunConfig, load_config,
                      validate_config)
-from .diagnostics import (CertifyThresholds, certify, energy_identity,
-                          estimate_suite)
+from .diagnostics import certify, energy_identity, estimate_suite
 from .grid import (ScalarField, TorusGrid, read_field_csv, write_field_csv,
                    write_grid_table)
 from .hamiltonian import (admissible_alpha_max, audit_assumptions,
@@ -69,8 +68,7 @@ def _write_json(obj, path) -> None:
 
 
 def build_setup(cfg: RunConfig):
-    """Grid, models, Newton configuration and continuation step floor."""
-    validate_config(cfg)
+    """Grid, models, Newton settings and step floor of a validated config."""
     grid = TorusGrid(cfg.grid_d, cfg.grid_n)
     try:
         a = coefficient_field(grid, cfg.hamiltonian_a)
@@ -98,23 +96,14 @@ def _admissibility_gate(cfg: RunConfig) -> bool:
     return False
 
 
-def _path_summary(path) -> dict:
-    return {
-        "status": path.status,
-        "steps": [
-            {"lambda": s.lam, "n": s.n, "iters": s.iters,
-             "residual": s.residual_norm, "min_m": s.min_m}
-            for s in path.steps
-        ],
-        "total_iters": path.total_iters,
-    }
-
-
 def _write_solution_files(out_dir, grid, models, path) -> None:
     state = path.final_state
+    steps = [s.record() for s in path.steps]
     write_field_csv(ScalarField(grid, state.u), os.path.join(out_dir, "u.csv"))
     write_field_csv(ScalarField(grid, state.m), os.path.join(out_dir, "m.csv"))
-    _write_json(_path_summary(path), os.path.join(out_dir, "path.json"))
+    _write_json({"status": path.status, "steps": steps,
+                 "total_iters": path.total_iters},
+                os.path.join(out_dir, "path.json"))
     report = estimate_suite(state, models)
     _write_json(dataclasses.asdict(report),
                 os.path.join(out_dir, "diagnostics.json"))
@@ -122,10 +111,9 @@ def _write_solution_files(out_dir, grid, models, path) -> None:
     write_grid_table(os.path.join(out_dir, "solution.csv"), grid, ["u", "m"],
                      [state.u, state.m])
     with open(os.path.join(out_dir, "path.csv"), "w") as fh:
-        fh.write("lambda,n,iters,residual,min_m\n")
-        for s in path.steps:
-            fh.write(f"{s.lam:.17g},{s.n},{s.iters},{s.residual_norm:.17g},"
-                     f"{s.min_m:.17g}\n")
+        fh.write(",".join(steps[0]) + "\n")
+        for step in steps:
+            fh.write(",".join(format_json(v) for v in step.values()) + "\n")
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str | None = None) -> int:
@@ -198,7 +186,7 @@ def cmd_validate(cfg: RunConfig, fields_dir: str, out_dir: str | None = None) ->
         for w in (PerturbationPair(rng.standard_normal(grid.npoints),
                                    rng.standard_normal(grid.npoints))
                   for _ in range(8)))
-    verdicts = certify(report, CertifyThresholds(), bform_max=bmax)
+    verdicts = certify(report, bform_max=bmax)
     for v in verdicts:
         print(f"  [{'pass' if v.passed else 'FAIL'}] {v.name}: "
               f"value={v.value:.6g} threshold={v.threshold:.6g}")

@@ -9,6 +9,8 @@ settings, lives here too, so setting up a command imports no solver.
 import math
 from dataclasses import dataclass, fields
 
+from .hamiltonian import SIGN_CONVENTIONS
+
 
 class ConfigError(Exception):
     """Malformed configuration text or inconsistent values."""
@@ -123,7 +125,7 @@ def validate_config(cfg: RunConfig) -> None:
     if not 1.0 < cfg.hamiltonian_gamma < 2.0:
         raise ConfigError(
             f"hamiltonian.gamma must lie in (1,2), got {cfg.hamiltonian_gamma}")
-    if cfg.potential_sign not in ("paper_literal", "monotone"):
+    if cfg.potential_sign not in SIGN_CONVENTIONS:
         raise ConfigError(f"unknown potential.sign {cfg.potential_sign!r}")
     if cfg.congestion_alpha <= 0.0:
         raise ConfigError(

@@ -23,7 +23,7 @@ converged solution sequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -142,12 +142,10 @@ def estimate_suite(state: MFGState, models: MFGModels) -> DiagnosticsReport:
     )
 
 
-@dataclass(frozen=True)
-class CertifyThresholds:
-    mass_tol: float = 1e-10
-    energy_tol: float = 1e-3     # calibrated at n = 128
-    min_density: float = 1e-3
-    bform_tol: float = 1e-10
+MASS_TOL = 1e-10
+ENERGY_TOL = 1e-3     # calibrated at n = 128
+MIN_DENSITY = 1e-3
+BFORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -158,37 +156,40 @@ class Verdict:
     threshold: float
 
 
-def certify(report: DiagnosticsReport, thresholds: CertifyThresholds = CertifyThresholds(),
+def _leaves(obj) -> list:
+    """Every scalar in a nest of dicts, lists and tuples."""
+    if isinstance(obj, dict):
+        obj = tuple(obj.values())
+    if not isinstance(obj, (list, tuple)):
+        return [obj]
+    return [leaf for item in obj for leaf in _leaves(item)]
+
+
+def certify(report: DiagnosticsReport,
             bform_max: float | None = None) -> list[Verdict]:
     """Per-quantity pass/fail verdicts for a diagnostics report.
 
-    Sharp properties (mass, energy identity, positivity floor,
-    finiteness) are thresholded; the remaining estimate magnitudes are
-    reported by the suite but carry no thresholds, since the continuous
-    bounds are existential.  A monotone-sign bilinear-form spot check is
-    attached when its maximum over sampled perturbations is provided.
+    Sharp properties are thresholded by the module constants: mass
+    (MASS_TOL), energy identity (ENERGY_TOL), positivity floor
+    (MIN_DENSITY), and finiteness of every number in the report.  The
+    remaining estimate magnitudes are reported by the suite but carry no
+    thresholds, since the continuous bounds are existential.  A
+    monotone-sign bilinear-form spot check (BFORM_TOL) is attached when
+    its maximum over sampled perturbations is provided.
     """
     verdicts = [
-        Verdict("mass_normalized", abs(report.mass - 1.0) <= thresholds.mass_tol,
-                abs(report.mass - 1.0), thresholds.mass_tol),
+        Verdict("mass_normalized", abs(report.mass - 1.0) <= MASS_TOL,
+                abs(report.mass - 1.0), MASS_TOL),
         Verdict("energy_identity",
-                report.energy_identity_residual <= thresholds.energy_tol,
-                report.energy_identity_residual, thresholds.energy_tol),
+                report.energy_identity_residual <= ENERGY_TOL,
+                report.energy_identity_residual, ENERGY_TOL),
     ]
-    values = [report.mass, report.min_u, report.max_u, report.l1_u,
-              report.energy_identity_lhs, report.energy_identity_rhs,
-              *(v for _, v in report.weighted_gradient_norms),
-              *report.sobolev_m, *report.entropy,
-              *(v for _, v in report.inverse_moments),
-              *report.sup_norms.values(), report.surrogate_high_norm[1]]
-    finite = all(math.isfinite(v) for v in values)
+    finite = all(math.isfinite(v) for v in _leaves(asdict(report)))
     verdicts.append(Verdict("all_finite", finite, float(not finite), 0.0))
     min_density = 1.0 / report.sup_norms["inv_m"]
-    verdicts.append(Verdict("density_bounded_below",
-                            min_density >= thresholds.min_density,
-                            min_density, thresholds.min_density))
+    verdicts.append(Verdict("density_bounded_below", min_density >= MIN_DENSITY,
+                            min_density, MIN_DENSITY))
     if bform_max is not None:
-        verdicts.append(Verdict("monotonicity_form",
-                                bform_max <= thresholds.bform_tol,
-                                bform_max, thresholds.bform_tol))
+        verdicts.append(Verdict("monotonicity_form", bform_max <= BFORM_TOL,
+                                bform_max, BFORM_TOL))
     return verdicts

@@ -166,13 +166,12 @@ def solve_optimal_speed(p_mag, a, gamma_prime: float):
 
 @dataclass
 class HamiltonianEval:
-    """Pointwise H, DpH, DppH plus the optimal velocity v = -DpH."""
+    """Pointwise H, DpH and DppH; the optimal velocity is v = -DpH, and at
+    lam = 1 the optimal speed is solve_optimal_speed(|p|, a, gamma')."""
 
     H: np.ndarray        # (N,)
     DpH: np.ndarray      # (N, d)
     DppH: np.ndarray     # (N, d, d)
-    v_opt: np.ndarray    # (N, d)
-    s_opt: np.ndarray    # (N,)
 
 
 def _promote(p):
@@ -186,13 +185,12 @@ def _promote(p):
 
 def _squeeze(ev: HamiltonianEval, single: bool) -> HamiltonianEval:
     if single:
-        return HamiltonianEval(ev.H[0], ev.DpH[0], ev.DppH[0], ev.v_opt[0],
-                               ev.s_opt[0])
+        return HamiltonianEval(ev.H[0], ev.DpH[0], ev.DppH[0])
     return ev
 
 
 def example_eval(p, a, gamma: float) -> HamiltonianEval:
-    """Evaluate the congestion-cost dual Hamiltonian at momenta p."""
+    """Evaluate the congestion-cost dual Hamiltonian at momenta p; DpH = s p/|p|."""
     p2, single = _promote(p)
     n, d = p2.shape
     gp = conjugate_exponent(gamma)
@@ -206,15 +204,14 @@ def example_eval(p, a, gamma: float) -> HamiltonianEval:
     s2 = s * s
     w = (1.0 + s2) ** (0.5 * gp - 1.0)
     H = av * ((gp - 1.0) * s2 - 1.0) * w
-    v = -s[:, None] * phat
-    DpH = -v
+    DpH = s[:, None] * phat
 
     c = gp * av * w
     eye = np.eye(d)[None, :, :]
-    vv = v[:, :, None] * v[:, None, :]
+    vv = DpH[:, :, None] * DpH[:, None, :]
     DppH = (eye - (gp - 2.0) * vv / (1.0 + (gp - 1.0) * s2)[:, None, None]) \
         / c[:, None, None]
-    return _squeeze(HamiltonianEval(H, DpH, DppH, v, s), single)
+    return _squeeze(HamiltonianEval(H, DpH, DppH), single)
 
 
 def example_lagrangian(v, a, gamma: float):
@@ -238,9 +235,7 @@ def power_eval(p, gamma: float) -> HamiltonianEval:
     pp = p2[:, :, None] * p2[:, None, :]
     DppH = gamma * w[:, None, None] * eye \
         + gamma * (gamma - 2.0) * ((1.0 + q) ** (0.5 * gamma - 2.0))[:, None, None] * pp
-    v = -DpH
-    s = np.linalg.norm(v, axis=1)
-    return _squeeze(HamiltonianEval(H, DpH, DppH, v, s), single)
+    return _squeeze(HamiltonianEval(H, DpH, DppH), single)
 
 
 def blend_eval(p, a, gamma: float, lam: float) -> HamiltonianEval:
@@ -256,11 +251,7 @@ def blend_eval(p, a, gamma: float, lam: float) -> HamiltonianEval:
     H = lam * ex.H + (1.0 - lam) * pw.H
     DpH = lam * ex.DpH + (1.0 - lam) * pw.DpH
     DppH = lam * ex.DppH + (1.0 - lam) * pw.DppH
-    v = -DpH
-    s = np.linalg.norm(np.atleast_2d(v), axis=1)
-    if np.ndim(H) == 0:
-        s = s[0]
-    return HamiltonianEval(H, DpH, DppH, v, s)
+    return HamiltonianEval(H, DpH, DppH)
 
 
 def potential_eval(m, b, lam: float, sign: str = "paper_literal"):
@@ -284,39 +275,39 @@ def potential_eval(m, b, lam: float, sign: str = "paper_literal"):
 # -- coefficient-field presets ------------------------------------------
 
 
-def coefficient_field(grid: TorusGrid, descriptor: str) -> np.ndarray:
-    """Build a named or inline-Fourier coefficient field on the grid.
+# named fields, each an alias of the inline form it equals bit for bit
+_PRESETS = {"one": "fourier:1", "sin_bump": "fourier:1,0.5",
+            "cos_bump": "fourier:0,0,0.5"}
 
-    Presets: ``one`` -> 1, ``sin_bump`` -> 1 + 0.5 sin(2 pi x1),
-    ``cos_bump`` -> 0.5 cos(2 pi x1).  Inline:
-    ``fourier:c0,s1,c1[,s2,c2,...]`` meaning
-    c0 + sum_k [ s_k sin(2 pi k x1) + c_k cos(2 pi k x1) ].
+
+def coefficient_field(grid: TorusGrid, descriptor: str) -> np.ndarray:
+    """Build an inline-Fourier coefficient field on the grid.
+
+    ``fourier:c0,s1,c1[,s2,c2,...]`` means
+    c0 + sum_k [ s_k sin(2 pi k x1) + c_k cos(2 pi k x1) ].  The presets
+    are aliases: ``one`` is ``fourier:1`` (1), ``sin_bump`` is
+    ``fourier:1,0.5`` (1 + 0.5 sin(2 pi x1)) and ``cos_bump`` is
+    ``fourier:0,0,0.5`` (0.5 cos(2 pi x1)).
     """
-    if descriptor == "one":
-        return np.ones(grid.npoints)
-    x1 = grid.axis()
-    if descriptor == "sin_bump":
-        line = 1.0 + 0.5 * np.sin(2.0 * np.pi * x1)
-    elif descriptor == "cos_bump":
-        line = 0.5 * np.cos(2.0 * np.pi * x1)
-    elif descriptor.startswith("fourier:"):
-        try:
-            coeffs = [float(tok) for tok in descriptor[len("fourier:"):].split(",")]
-        except ValueError as exc:
-            raise ValueError(f"bad Fourier coefficient list in {descriptor!r}") from exc
-        if not coeffs:
-            raise ValueError(f"empty Fourier coefficient list in {descriptor!r}")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError(f"non-finite Fourier coefficient in {descriptor!r}")
-        line = np.full(grid.n, coeffs[0])
-        pairs = coeffs[1:]
-        for k in range(0, len(pairs), 2):
-            mode = k // 2 + 1
-            line += pairs[k] * np.sin(2.0 * np.pi * mode * x1)
-            if k + 1 < len(pairs):
-                line += pairs[k + 1] * np.cos(2.0 * np.pi * mode * x1)
-    else:
+    descriptor = _PRESETS.get(descriptor, descriptor)
+    if not descriptor.startswith("fourier:"):
         raise ValueError(f"unknown coefficient field descriptor {descriptor!r}")
+    try:
+        coeffs = [float(tok) for tok in descriptor[len("fourier:"):].split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad Fourier coefficient list in {descriptor!r}") from exc
+    if not coeffs:
+        raise ValueError(f"empty Fourier coefficient list in {descriptor!r}")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"non-finite Fourier coefficient in {descriptor!r}")
+    x1 = grid.axis()
+    line = np.full(grid.n, coeffs[0])
+    pairs = coeffs[1:]
+    for k in range(0, len(pairs), 2):
+        mode = k // 2 + 1
+        line += pairs[k] * np.sin(2.0 * np.pi * mode * x1)
+        if k + 1 < len(pairs):
+            line += pairs[k + 1] * np.cos(2.0 * np.pi * mode * x1)
     # every field depends on x1 alone, which row-major order holds fixed
     # over each run of n^(d-1) consecutive points
     return np.repeat(line, grid.npoints // grid.n)
@@ -486,15 +477,15 @@ def audit_assumptions(gamma: float, a, lam: float, alpha: float,
         aa, rr = [x.ravel() for x in np.meshgrid(a_vals, r_vals, indexing="ij")]
         P = np.zeros((rr.size, d))
         P[:, 0] = rr
-        return blend_eval(P, aa, gamma, lam), P, rr
+        return blend_eval(P, aa, gamma, lam), P, rr, aa
 
     # box samples carry the envelope constants and pointwise margins;
     # growth exponents are fitted on a far ladder where the asymptotic
     # power law has set in
-    ev, P, rr = evaluate(a_samples, np.linspace(0.0, AUDIT_RADIUS, AUDIT_RADII))
+    ev, P, rr, aa = evaluate(a_samples, np.linspace(0.0, AUDIT_RADIUS, AUDIT_RADII))
     a_far = np.asarray([np.min(a_samples), np.median(a_samples), np.max(a_samples)])
     r_far = np.geomspace(50.0 * AUDIT_RADIUS, 5000.0 * AUDIT_RADIUS, 12)
-    ev_far, _, rr_far = evaluate(a_far, r_far)
+    ev_far, _, rr_far, _ = evaluate(a_far, r_far)
 
     p_dot = np.einsum("ki,ki->k", ev.DpH, P)
     lhs = p_dot - ev.H
@@ -545,8 +536,9 @@ def audit_assumptions(gamma: float, a, lam: float, alpha: float,
     constants = {"min_eig_DppH": min_eig, "min_margin": min_margin}
     alpha_tilde_inf = float("inf")
     if lam == 1.0:
-        s2 = ev.s_opt**2
         gp = conjugate_exponent(gamma)
+        # the speed itself: |DpH| differs from it in the last bits
+        s2 = solve_optimal_speed(rr, aa, gp)**2
         with np.errstate(divide="ignore"):
             alpha_tilde = 4.0 * (1.0 / (gp * s2) + 1.0 / gamma)
         alpha_tilde_inf = float(np.min(alpha_tilde))

@@ -146,6 +146,11 @@ class NewtonResult:
     def min_m(self) -> float:
         return float(np.min(self.state.m))
 
+    def record(self) -> dict:
+        """The step's fields, in the order `path.json` and `path.csv` write them."""
+        return {"lambda": self.lam, "n": self.n, "iters": self.iters,
+                "residual": self.residual_norm, "min_m": self.min_m}
+
     def log_line(self) -> str:
         return (f"lambda={self.lam:.17g} iters={self.iters} "
                 f"residual={self.residual_norm:.17g} min_m={self.min_m:.17g}")

@@ -157,8 +157,7 @@ def _check_density(m: np.ndarray) -> None:
 class Linearization:
     """Pointwise coefficients of the linearized operator at a state."""
 
-    Q: np.ndarray               # (N, d)
-    ev: HamiltonianEval
+    ev: HamiltonianEval         # at Q = grad(u) / m^alpha
     density_coupling: np.ndarray  # (N,) coefficient of f in the u-row
     W: np.ndarray               # (N, d) transported vector DpH - alpha DppH.Q
     m_scale: np.ndarray         # (N,)  m^(1-alpha)
@@ -176,7 +175,7 @@ def _evaluate(state: MFGState, models: MFGModels):
     density_coupling = alpha * state.m ** (alpha - 1.0) * (ev.H - q_dot) + DmV
     hess_q = np.einsum("kij,kj->ki", ev.DppH, Q)
     W = ev.DpH - alpha * hess_q
-    lin = Linearization(Q, ev, density_coupling, W, state.m ** (1.0 - alpha))
+    lin = Linearization(ev, density_coupling, W, state.m ** (1.0 - alpha))
     return ma, V, lin
 
 

@@ -210,9 +210,9 @@ def test_criterion_8_hamiltonian_oracle_suite():
     # admissible-exponent field over a wide momentum sample
     P = np.zeros((400, 2))
     P[:, 0] = np.linspace(0.0, 200.0, 400)
-    ev = example_eval(P, 1.0, gamma)
+    speed = solve_optimal_speed(P[:, 0], 1.0, gp)
     with np.errstate(divide="ignore"):
-        alpha_tilde = 4.0 * (1.0 / (gp * ev.s_opt**2) + 1.0 / gamma)
+        alpha_tilde = 4.0 * (1.0 / (gp * speed**2) + 1.0 / gamma)
     inf_alpha_tilde = float(np.min(alpha_tilde))
 
     ok = (round_trip < 1e-10 and zero_exact and fd_worst < 1e-6

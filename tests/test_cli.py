@@ -538,6 +538,29 @@ class TestCommandFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("command", ["solve", "audit", "validate", "sweep"])
+    def test_each_command_validates_the_config_once(
+            self, command, fast_config, tmp_path, monkeypatch):
+        from mfglab import cli
+
+        out = str(tmp_path / "out")
+        if command == "validate":
+            assert main(["solve", "--config", fast_config, "--out", out]) == 0
+        calls = []
+        real = cli.validate_config
+
+        def counted(cfg):
+            calls.append(cfg)
+            return real(cfg)
+        monkeypatch.setattr(cli, "validate_config", counted)
+        flags = {"solve": ["--out", out], "audit": [],
+                 "validate": ["--fields", out],
+                 "sweep": ["--out", out, "--gamma", "1.25", "--alpha", "1.0"]}
+        assert main([command, "--config", fast_config, *flags[command]]) == 0
+        assert len(calls) == 1
+
+
 class TestConsoleEntryPoint:
     def test_installed_script_runs(self, tmp_path):
         import subprocess

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import default_models, smooth_field, smooth_positive_density
-from mfglab.diagnostics import (CertifyThresholds, certify, energy_identity,
+from mfglab import diagnostics
+from mfglab.diagnostics import (DiagnosticsReport, certify, energy_identity,
                                 estimate_suite, mass_check)
 from mfglab.grid import TorusGrid
 from mfglab.system import MFGState
@@ -15,6 +16,34 @@ from mfglab.system import MFGState
 
 def trivial(models):
     return models.trivial_state()
+
+
+def trivial_report():
+    models = default_models(TorusGrid(1, 64))
+    return estimate_suite(trivial(models), models)
+
+
+def leaf_paths(obj, path=()):
+    """Key and index path of every scalar in a nest of dicts and tuples."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return [path]
+    return [leaf for k, v in items for leaf in leaf_paths(v, path + (k,))]
+
+
+def replaced(obj, path, value):
+    """A copy of the nest `obj` with the scalar at `path` set to value."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(obj, dict):
+        return {k: replaced(v, rest, value) if k == head else v
+                for k, v in obj.items()}
+    return type(obj)(replaced(v, rest, value) if i == head else v
+                     for i, v in enumerate(obj))
 
 
 class TestMass:
@@ -144,14 +173,24 @@ class TestCertify:
         assert by_name["all_finite"].passed
         assert by_name["density_bounded_below"].passed
 
-    def test_monotone_in_thresholds(self):
+    def test_monotone_in_thresholds(self, monkeypatch):
         grid = TorusGrid(1, 64)
         models = default_models(grid)
         report = estimate_suite(trivial(models), models)
-        tight = certify(report, CertifyThresholds(mass_tol=1e-16))
-        loose = certify(report, CertifyThresholds(mass_tol=1e-2))
+        monkeypatch.setattr(diagnostics, "MASS_TOL", 1e-16)
+        tight = certify(report)
+        monkeypatch.setattr(diagnostics, "MASS_TOL", 1e-2)
+        loose = certify(report)
         for t, l in zip(tight, loose):
             assert l.passed or not t.passed  # loosening never flips pass -> fail
+
+    @pytest.mark.parametrize(
+        "path", leaf_paths(asdict(trivial_report())),
+        ids=lambda path: ".".join(map(str, path)))
+    def test_nan_in_any_report_number_fails_all_finite(self, path):
+        nested = replaced(asdict(trivial_report()), path, math.nan)
+        verdicts = certify(DiagnosticsReport(**nested))
+        assert not {v.name: v for v in verdicts}["all_finite"].passed
 
     def test_bform_line_attached_when_provided(self):
         grid = TorusGrid(1, 64)
