@@ -78,8 +78,7 @@ def build_setup(cfg: RunConfig):
     if np.min(a) <= 0.0:
         raise ConfigError(f"hamiltonian.a = {cfg.hamiltonian_a!r} is not "
                           "strictly positive on the grid")
-    models = MFGModels(grid, cfg.congestion_alpha, cfg.hamiltonian_gamma,
-                       a, b, cfg.potential_sign)
+    models = MFGModels(grid, cfg.congestion_alpha, cfg.hamiltonian_gamma, a, b)
     newton = NewtonConfig(tol_residual=cfg.newton_tol,
                           max_iters=cfg.newton_max_iters)
     return grid, models, newton, cfg.continuation_step_min
@@ -135,8 +134,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str | None = None) -> int:
 
 def cmd_audit(cfg: RunConfig) -> int:
     grid, models, _, _ = build_setup(cfg)
-    # H_1, the Hamiltonian that `solve` solves
-    audit = audit_assumptions(models.gamma, models.a, 1.0, models.alpha,
+    audit = audit_assumptions(models.gamma, models.a, models.alpha,
                               max(cfg.grid_d, 2))
     adm = check_parameter_admissibility(
         cfg.hamiltonian_gamma, cfg.congestion_alpha, cfg.grid_d)
@@ -173,7 +171,6 @@ def cmd_validate(cfg: RunConfig, fields_dir: str, out_dir: str | None = None) ->
         # an overflowing certificate is reported by the all_finite verdict
         with np.errstate(over="ignore"):
             report = estimate_suite(state, models)
-            # the arctan leg's sign convention drops out at lam = 1
             lin = linearize(state, models)
     except ValueError as exc:
         print(f"validation failed: the Hamiltonian cannot be evaluated on "
@@ -195,6 +192,15 @@ def cmd_validate(cfg: RunConfig, fields_dir: str, out_dir: str | None = None) ->
     _write_json(dataclasses.asdict(report),
                 os.path.join(out, "diagnostics.json"))
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_VALIDATE
+
+
+def _csv_value(v) -> str:
+    """A sweep.csv cell: like format_json, but nan stays an unquoted nan."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    return f"{v:.17g}"
 
 
 def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
@@ -236,13 +242,9 @@ def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
             rows.append(row)
 
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
-        fh.write("gamma,alpha,admissible,reached_one,iters_total,min_m,"
-                 "energy_residual\n")
+        fh.write(",".join(rows[0]) + "\n")
         for r in rows:
-            fh.write(f"{r['gamma']:.17g},{r['alpha']:.17g},"
-                     f"{str(r['admissible']).lower()},"
-                     f"{str(r['reached_one']).lower()},{r['iters_total']},"
-                     f"{r['min_m']:.17g},{r['energy_residual']:.17g}\n")
+            fh.write(",".join(_csv_value(v) for v in r.values()) + "\n")
     # admissibility frontier: supremum of the admissible alpha at each gamma
     with open(os.path.join(out, "frontier.csv"), "w") as fh:
         fh.write("gamma,alpha_max\n")

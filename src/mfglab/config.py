@@ -9,8 +9,6 @@ settings, lives here too, so setting up a command imports no solver.
 import math
 from dataclasses import dataclass, fields
 
-from .hamiltonian import SIGN_CONVENTIONS
-
 
 class ConfigError(Exception):
     """Malformed configuration text or inconsistent values."""
@@ -32,7 +30,6 @@ class RunConfig:
     hamiltonian_gamma: float = 1.25
     hamiltonian_a: str = "sin_bump"
     potential_b: str = "cos_bump"
-    potential_sign: str = "paper_literal"
     congestion_alpha: float = 1.0
     newton_tol: float = 1e-10
     newton_max_iters: int = 30
@@ -125,8 +122,6 @@ def validate_config(cfg: RunConfig) -> None:
     if not 1.0 < cfg.hamiltonian_gamma < 2.0:
         raise ConfigError(
             f"hamiltonian.gamma must lie in (1,2), got {cfg.hamiltonian_gamma}")
-    if cfg.potential_sign not in SIGN_CONVENTIONS:
-        raise ConfigError(f"unknown potential.sign {cfg.potential_sign!r}")
     if cfg.congestion_alpha <= 0.0:
         raise ConfigError(
             f"congestion.alpha must be positive, got {cfg.congestion_alpha}")

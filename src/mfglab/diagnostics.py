@@ -173,9 +173,9 @@ def certify(report: DiagnosticsReport,
     (MASS_TOL), energy identity (ENERGY_TOL), positivity floor
     (MIN_DENSITY), and finiteness of every number in the report.  The
     remaining estimate magnitudes are reported by the suite but carry no
-    thresholds, since the continuous bounds are existential.  A
-    monotone-sign bilinear-form spot check (BFORM_TOL) is attached when
-    its maximum over sampled perturbations is provided.
+    thresholds, since the continuous bounds are existential.  A spot
+    check that the bilinear form is nonpositive (BFORM_TOL) is attached
+    when its maximum over sampled perturbations is provided.
     """
     verdicts = [
         Verdict("mass_normalized", abs(report.mass - 1.0) <= MASS_TOL,

@@ -30,21 +30,18 @@ Hamiltonian kinds: lam = 1 is ``example``, lam = 0 is ``power`` and
   H_lam = lam * example + (1 - lam) * power, component by component.
 
 The potential blends V(x,m) = b(x) - arctan(m) against a pure arctan(m)
-leg: V_lam = lam * V + sigma (1 - lam) * arctan(m).  With sigma = +1
-("paper_literal") the lam < 1 potential increases in m; sigma = -1
-("monotone") keeps V_lam strictly decreasing in m for every lam.  Both
-conventions coincide at lam = 1.
+leg: V_lam = lam * V + (1 - lam) * arctan(m).  At lam = 1 it is the
+paper's V, which decreases in m; the lam < 1 leg only starts the
+homotopy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import TorusGrid
-
-SIGN_CONVENTIONS = {"paper_literal": 1.0, "monotone": -1.0}
 
 _EPS = np.finfo(float).eps
 
@@ -254,21 +251,19 @@ def blend_eval(p, a, gamma: float, lam: float) -> HamiltonianEval:
     return HamiltonianEval(H, DpH, DppH)
 
 
-def potential_eval(m, b, lam: float, sign: str = "paper_literal"):
+def potential_eval(m, b, lam: float):
     """V_lam(x,m) and its m-derivative.
 
-    V_lam = lam (b(x) - arctan m) + sigma (1 - lam) arctan m, m > 0.
+    V_lam = lam (b(x) - arctan m) + (1 - lam) arctan m, m > 0.
     """
-    if sign not in SIGN_CONVENTIONS:
-        raise ValueError(f"unknown sign convention {sign!r}")
-    sigma = SIGN_CONVENTIONS[sign]
     mv = np.asarray(m, dtype=float)
     if np.any(mv <= 0.0):
         raise ValueError("density must be positive")
     bv = np.asarray(b, dtype=float)
     at = np.arctan(mv)
-    V = lam * (bv - at) + sigma * (1.0 - lam) * at
-    DmV = (-lam + sigma * (1.0 - lam)) / (1.0 + mv * mv)
+    V = lam * (bv - at) + (1.0 - lam) * at
+    # the two legs' derivatives summed: 1 - 2 lam can round differently
+    DmV = (-lam + (1.0 - lam)) / (1.0 + mv * mv)
     return V, DmV
 
 
@@ -296,8 +291,6 @@ def coefficient_field(grid: TorusGrid, descriptor: str) -> np.ndarray:
         coeffs = [float(tok) for tok in descriptor[len("fourier:"):].split(",")]
     except ValueError as exc:
         raise ValueError(f"bad Fourier coefficient list in {descriptor!r}") from exc
-    if not coeffs:
-        raise ValueError(f"empty Fourier coefficient list in {descriptor!r}")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(f"non-finite Fourier coefficient in {descriptor!r}")
     x1 = grid.axis()
@@ -414,11 +407,8 @@ class AssumptionCheck:
 
 @dataclass(frozen=True)
 class AssumptionAudit:
-    lam: float
-    gamma: float
-    alpha: float
     checks: tuple[AssumptionCheck, ...]
-    alpha_tilde_inf: float = field(default=float("inf"))
+    alpha_tilde_inf: float
 
     @property
     def all_passed(self) -> bool:
@@ -442,14 +432,12 @@ AUDIT_RADII = 48
 AUDIT_MAX_X_SAMPLES = 64  # coefficient values a(x) sampled at most
 
 
-def audit_assumptions(gamma: float, a, lam: float, alpha: float,
-                      d: int) -> AssumptionAudit:
-    """Sample-box audit of the structural conditions on H_lam = blend_eval.
+def audit_assumptions(gamma: float, a, alpha: float, d: int) -> AssumptionAudit:
+    """Sample-box audit of the structural conditions on the example
+    Hamiltonian H_1, the one that `solve` solves.
 
-    lam = 1 is the example Hamiltonian, lam = 0 the power base.  Checks,
-    over momenta p = r e_1 with r in [0, AUDIT_RADIUS] and the sampled
-    values of the coefficient a(x) (a single sample at lam = 0, where H
-    does not depend on a):
+    Checks, over momenta p = r e_1 with r in [0, AUDIT_RADIUS] and the
+    sampled values of the coefficient a(x):
 
     - H(x,0) <= 0;
     - DpH.p - H >= c H - C with (c, C) fitted by a least-violation sweep;
@@ -458,26 +446,23 @@ def audit_assumptions(gamma: float, a, lam: float, alpha: float,
     - |DpH| <= C (|p|^(gamma-1) + 1), with the log-log growth slope at
       large |p| fitted and compared to gamma - 1;
     - DppH > 0 together with the pointwise congestion margin
-      DpH.p - H - (alpha/4) p.DppH.p > 0.  At lam = 1 the
-      admissible-exponent field alpha_tilde = 4 (1/(gamma' s^2) + 1/gamma)
-      is reported with its infimum over the sample box.
+      DpH.p - H - (alpha/4) p.DppH.p > 0.  The admissible-exponent
+      field alpha_tilde = 4 (1/(gamma' s^2) + 1/gamma) is reported with
+      its infimum over the sample box.
 
     Verdicts for the fitted inequalities mean "holds with the fitted
     constants on this sample box", not absolute proofs.  Failures are
     reported, never raised.
     """
-    if lam == 0.0:
-        a_samples = np.asarray([1.0])
-    else:
-        a_all = np.atleast_1d(np.asarray(a, dtype=float)).ravel()
-        stride = max(1, a_all.size // AUDIT_MAX_X_SAMPLES)
-        a_samples = np.unique(a_all[::stride])
+    a_all = np.atleast_1d(np.asarray(a, dtype=float)).ravel()
+    stride = max(1, a_all.size // AUDIT_MAX_X_SAMPLES)
+    a_samples = np.unique(a_all[::stride])
 
     def evaluate(a_vals, r_vals):
         aa, rr = [x.ravel() for x in np.meshgrid(a_vals, r_vals, indexing="ij")]
         P = np.zeros((rr.size, d))
         P[:, 0] = rr
-        return blend_eval(P, aa, gamma, lam), P, rr, aa
+        return example_eval(P, aa, gamma), P, rr, aa
 
     # box samples carry the envelope constants and pointwise margins;
     # growth exponents are fitted on a far ladder where the asymptotic
@@ -533,19 +518,17 @@ def audit_assumptions(gamma: float, a, lam: float, alpha: float,
     quad = np.einsum("ki,kij,kj->k", P, ev.DppH, P)
     margin = lhs - 0.25 * alpha * quad
     min_margin = float(np.min(margin))
-    constants = {"min_eig_DppH": min_eig, "min_margin": min_margin}
-    alpha_tilde_inf = float("inf")
-    if lam == 1.0:
-        gp = conjugate_exponent(gamma)
-        # the speed itself: |DpH| differs from it in the last bits
-        s2 = solve_optimal_speed(rr, aa, gp)**2
-        with np.errstate(divide="ignore"):
-            alpha_tilde = 4.0 * (1.0 / (gp * s2) + 1.0 / gamma)
-        alpha_tilde_inf = float(np.min(alpha_tilde))
-        constants["alpha_tilde_inf"] = alpha_tilde_inf
+    gp = conjugate_exponent(gamma)
+    # the speed itself: |DpH| differs from it in the last bits
+    s2 = solve_optimal_speed(rr, aa, gp)**2
+    with np.errstate(divide="ignore"):
+        alpha_tilde = 4.0 * (1.0 / (gp * s2) + 1.0 / gamma)
+    alpha_tilde_inf = float(np.min(alpha_tilde))
     checks.append(AssumptionCheck(
         "hessian_and_congestion_margin",
         "DppH > 0 and DpH.p - H > (alpha/4) p.DppH.p",
-        min_eig > 0.0 and min_margin > 0.0, constants))
+        min_eig > 0.0 and min_margin > 0.0,
+        {"min_eig_DppH": min_eig, "min_margin": min_margin,
+         "alpha_tilde_inf": alpha_tilde_inf}))
 
-    return AssumptionAudit(lam, gamma, alpha, tuple(checks), alpha_tilde_inf)
+    return AssumptionAudit(tuple(checks), alpha_tilde_inf)

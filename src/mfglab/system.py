@@ -61,8 +61,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 from .grid import TorusGrid
-from .hamiltonian import (SIGN_CONVENTIONS, HamiltonianEval, blend_eval,
-                          potential_eval)
+from .hamiltonian import HamiltonianEval, blend_eval, potential_eval
 
 
 @dataclass
@@ -116,7 +115,6 @@ class MFGModels:
     gamma: float
     a: np.ndarray
     b: np.ndarray
-    sign: str = "paper_literal"
 
     def __post_init__(self) -> None:
         if self.alpha <= 0.0:
@@ -125,14 +123,12 @@ class MFGModels:
             raise ValueError(f"growth exponent must lie in (1,2), got {self.gamma}")
         if np.any(np.asarray(self.a) <= 0.0):
             raise ValueError("coefficient field a must be strictly positive")
-        if self.sign not in SIGN_CONVENTIONS:
-            raise ValueError(f"unknown sign convention {self.sign!r}")
 
     def hamiltonian(self, p, lam: float) -> HamiltonianEval:
         return blend_eval(p, self.a, self.gamma, lam)
 
     def potential(self, m, lam: float):
-        return potential_eval(m, self.b, lam, self.sign)
+        return potential_eval(m, self.b, lam)
 
     def trivial_state(self) -> MFGState:
         """Exact root of the lam = 0 system: constant u, unit density.
@@ -140,10 +136,9 @@ class MFGModels:
         With m = 1 and u constant the density equation is satisfied
         (the base Hamiltonian has zero momentum gradient at p = 0) and
         the value equation reads u + 1 + V_0(x, 1) = 0, so
-        u = -(1 + sigma * atan(1)).
+        u = -(1 + atan(1)).
         """
-        sigma = SIGN_CONVENTIONS[self.sign]
-        u0 = -(1.0 + sigma * math.atan(1.0))
+        u0 = -(1.0 + math.atan(1.0))
         n = self.grid.npoints
         return MFGState(self.grid, np.full(n, u0), np.ones(n), 0.0)
 

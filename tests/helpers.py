@@ -5,12 +5,12 @@ import numpy as np
 from mfglab import MFGModels, TorusGrid, coefficient_field
 
 
-def default_models(grid: TorusGrid, sign: str = "paper_literal",
-                   gamma: float = 1.25, alpha: float = 1.0) -> MFGModels:
+def default_models(grid: TorusGrid, gamma: float = 1.25,
+                   alpha: float = 1.0) -> MFGModels:
     """Default problem data: a = 1 + 0.5 sin(2 pi x1), b = 0.5 cos(2 pi x1)."""
     return MFGModels(grid, alpha, gamma,
                      coefficient_field(grid, "sin_bump"),
-                     coefficient_field(grid, "cos_bump"), sign)
+                     coefficient_field(grid, "cos_bump"))
 
 
 def two_dimensional_models(grid: TorusGrid) -> MFGModels:

@@ -44,13 +44,6 @@ def run_64():
     return grid, models, continuation_run(models)
 
 
-@pytest.fixture(scope="module")
-def run_monotone_128():
-    grid = TorusGrid(1, 128)
-    models = default_models(grid, sign="monotone")
-    return grid, models, continuation_run(models)
-
-
 def test_criterion_1_trivial_solution_exactness():
     grid = TorusGrid(1, 128)
     models = default_models(grid)
@@ -138,8 +131,8 @@ def test_criterion_5_jacobian_fidelity_and_quadratic_contraction():
            f"contraction constant {quad_constant:.3g}")
 
 
-def test_criterion_6_uniqueness_monotone_regime(run_monotone_128):
-    grid, models, path = run_monotone_128
+def test_criterion_6_uniqueness_monotone_regime(run_128):
+    grid, models, path, _ = run_128
     base = path.final_state
     x = grid.coords()[:, 0]
     g1 = MFGState(grid, base.u + 0.05 * np.sin(2 * np.pi * x),
@@ -154,8 +147,8 @@ def test_criterion_6_uniqueness_monotone_regime(run_monotone_128):
            f"sup-norm gap {gap:.3e}")
 
 
-def test_criterion_7_monotonicity_form(run_monotone_128):
-    grid, models, path = run_monotone_128
+def test_criterion_7_monotonicity_form(run_128):
+    grid, models, path, _ = run_128
     state = path.final_state
     rng = np.random.default_rng(77)
     worst = -math.inf

@@ -72,7 +72,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["output.formats", "continuation.step_init",
                                      "continuation.grow", "continuation.shrink",
-                                     "hamiltonian.kind", "newton.min_m_floor"])
+                                     "hamiltonian.kind", "newton.min_m_floor",
+                                     "potential.sign"])
     def test_removed_key_rejected(self, key):
         with pytest.raises(ConfigError,
                            match=f"line 2: unrecognized key '{key}'"):
@@ -432,6 +433,7 @@ class TestSweepCommand:
             row = fh.read().splitlines()[1].split(",")
         assert row[2] == "false" and row[3] == "false"
         assert row[4] == "0"  # no solve attempted
+        assert row[5] == row[6] == "nan"
 
     def test_empty_list_is_config_error(self, fast_config, tmp_path, capsys):
         assert main(["sweep", "--config", fast_config,
@@ -630,6 +632,14 @@ class TestStartup:
 
 
 class TestJsonFormatting:
+    @pytest.mark.parametrize("value, cell", [
+        (True, "true"), (False, "false"), (7, "7"),
+        (0.1, "0.10000000000000001"), (math.nan, "nan")])
+    def test_sweep_csv_cell(self, value, cell):
+        from mfglab.cli import _csv_value
+
+        assert _csv_value(value) == cell
+
     def test_floats_rendered_at_17_digits(self):
         from mfglab.cli import format_json
 

@@ -312,25 +312,21 @@ class TestBlend:
 
 class TestPotential:
     def test_pure_arctan_leg(self):
-        V, DmV = potential_eval(1.0, 0.0, 0.0, "paper_literal")
+        V, DmV = potential_eval(1.0, 0.0, 0.0)
         assert V == pytest.approx(math.pi / 4.0, abs=1e-15)
         assert DmV == pytest.approx(0.5, abs=1e-15)
 
     def test_target_potential(self):
-        V, DmV = potential_eval(1.0, 0.0, 1.0, "paper_literal")
+        V, DmV = potential_eval(1.0, 0.0, 1.0)
         assert V == pytest.approx(-math.pi / 4.0, abs=1e-15)
         assert DmV == pytest.approx(-0.5, abs=1e-15)
 
-    def test_monotone_convention(self):
-        V, DmV = potential_eval(1.0, 0.0, 0.0, "monotone")
-        assert V == pytest.approx(-math.pi / 4.0, abs=1e-15)
-        assert DmV == pytest.approx(-0.5, abs=1e-15)
-
-    def test_monotone_sign_is_decreasing_for_every_lambda(self):
+    @pytest.mark.parametrize("lam, slope", [(0.0, 1.0), (0.5, 0.0), (1.0, -1.0)])
+    def test_density_slope_of_the_blend(self, lam, slope):
+        # the arctan leg increases in m, the target potential decreases
         m = np.linspace(0.2, 5.0, 50)
-        for lam in (0.0, 0.3, 0.7, 1.0):
-            _, DmV = potential_eval(m, 0.0, lam, "monotone")
-            assert np.all(DmV < 0.0)
+        _, DmV = potential_eval(m, 0.0, lam)
+        assert np.all(DmV == slope / (1.0 + m * m))
 
     def test_rejects_nonpositive_density(self):
         with pytest.raises(ValueError):
@@ -343,29 +339,26 @@ class TestAssumptionAudit:
     def test_example_model_passes(self):
         grid = TorusGrid(1, 64)
         a = coefficient_field(grid, "sin_bump")
-        audit = audit_assumptions(1.25, a, 1.0, alpha=1.0, d=2)
+        audit = audit_assumptions(1.25, a, alpha=1.0, d=2)
         assert audit.all_passed
         zero = [c for c in audit.checks if c.name == "zero_momentum_sign"][0]
         assert zero.constants["max_H_at_zero"] == pytest.approx(-np.min(a), abs=1e-12)
         assert audit.alpha_tilde_inf >= 4.0 / 1.25
 
-    def test_power_base_fails_zero_momentum_sign(self):
-        audit = audit_assumptions(1.25, 1.0, 0.0, alpha=1.0, d=2)
-        zero = [c for c in audit.checks if c.name == "zero_momentum_sign"][0]
-        assert not zero.passed
-        assert zero.constants["max_H_at_zero"] == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("gamma", [1.25, 1.75])
+    def test_congestion_margin_fails_above_exponent_infimum(self, gamma):
+        a = coefficient_field(TorusGrid(1, 32), "sin_bump")
+        alpha_inf = audit_assumptions(gamma, a, alpha=1.0, d=2).alpha_tilde_inf
+        audit = audit_assumptions(gamma, a, alpha=alpha_inf + 0.05, d=2)
+        failed = [c for c in audit.checks if not c.passed]
+        assert [c.name for c in failed] == ["hessian_and_congestion_margin"]
+        assert failed[0].constants["min_margin"] < 0.0
+        assert failed[0].constants["min_eig_DppH"] > 0.0
         assert not audit.all_passed
-
-    def test_blend_inherits_base_defect_away_from_target(self):
-        grid = TorusGrid(1, 32)
-        a = coefficient_field(grid, "sin_bump")
-        audit = audit_assumptions(1.25, a, 0.5, alpha=1.0, d=2)
-        zero = [c for c in audit.checks if c.name == "zero_momentum_sign"][0]
-        assert not zero.passed  # lam < 1 carries the positive base value
 
     def test_fitted_constants_reported(self):
         grid = TorusGrid(1, 32)
-        audit = audit_assumptions(1.25, coefficient_field(grid, "one"), 1.0,
+        audit = audit_assumptions(1.25, coefficient_field(grid, "one"),
                                   alpha=1.0, d=2)
         action = [c for c in audit.checks if c.name == "action_controls_energy"][0]
         assert action.constants["c"] > 0.0
@@ -416,9 +409,9 @@ class TestModelContainers:
 
     GRID = TorusGrid(2, 8)
 
-    def models(self, gamma=1.25, a=1.1, b=0.25, sign="paper_literal"):
+    def models(self, gamma=1.25, a=1.1, b=0.25):
         n = self.GRID.npoints
-        return MFGModels(self.GRID, 1.0, gamma, np.full(n, a), np.full(n, b), sign)
+        return MFGModels(self.GRID, 1.0, gamma, np.full(n, a), np.full(n, b))
 
     def test_hamiltonian_model_dispatch(self):
         rng = np.random.default_rng(14)
@@ -435,22 +428,18 @@ class TestModelContainers:
         with pytest.raises(ValueError):
             self.models(a=-1.0)
 
-    def test_unknown_sign_and_gamma_outside_range_rejected(self):
-        with pytest.raises(ValueError, match="sign convention"):
-            self.models(sign="sideways")
+    def test_gamma_outside_range_rejected(self):
         for gamma in (1.0, 2.0, 2.5):
             with pytest.raises(ValueError, match="growth exponent"):
                 self.models(gamma=gamma)
 
     def test_potential_model(self):
-        models = self.models(sign="monotone")
+        models = self.models()
         V, DmV = models.potential(np.ones(self.GRID.npoints), 0.5)
-        V2, DmV2 = potential_eval(1.0, 0.25, 0.5, "monotone")
+        V2, DmV2 = potential_eval(1.0, 0.25, 0.5)
         assert np.all(V == V2) and np.all(DmV == DmV2)
         V3, _ = models.potential(1.0, 1.0)
         assert V3[0] == pytest.approx(0.25 - math.pi / 4.0, abs=1e-15)
-        with pytest.raises(ValueError):
-            potential_eval(1.0, 0.0, 1.0, "sideways")
 
 
 class TestCoefficientFields:
@@ -491,6 +480,11 @@ class TestCoefficientFields:
     def test_unknown_descriptor_rejected(self):
         with pytest.raises(ValueError):
             coefficient_field(TorusGrid(1, 32), "bump")
+
+    @pytest.mark.parametrize("descriptor", ["fourier:", "fourier:,"])
+    def test_empty_coefficient_rejected(self, descriptor):
+        with pytest.raises(ValueError, match="bad Fourier coefficient list"):
+            coefficient_field(TorusGrid(1, 32), descriptor)
 
     @pytest.mark.parametrize("descriptor", ["fourier:nan", "fourier:1,0,inf"])
     def test_non_finite_coefficient_rejected(self, descriptor):

@@ -484,13 +484,6 @@ class TestContinuation:
         assert [s.residual_norm for s in p1.steps] == \
             [s.residual_norm for s in p2.steps]
 
-    def test_monotone_sign_run(self):
-        grid = TorusGrid(1, 64)
-        models = default_models(grid, sign="monotone")
-        path = continuation_run(models)
-        assert path.reached_one
-        assert path.final_state.lam == 1.0
-
     def test_log_lines_machine_parsable(self):
         grid = TorusGrid(1, 64)
         models = default_models(grid)
@@ -744,7 +737,7 @@ def reference_cycle(matrix, coarse_solve, r, fine, coarse):
 class TestUniqueness:
     def test_distinct_guesses_reach_the_same_root(self):
         grid = TorusGrid(1, 64)
-        models = default_models(grid, sign="monotone")
+        models = default_models(grid)
         path = continuation_run(models)
         base = path.final_state
         x = grid.coords()[:, 0]

@@ -26,7 +26,6 @@ def independent_residual(state, models):
     alpha, gamma, lam = models.alpha, models.gamma, state.lam
     gp = conjugate_exponent(gamma)
     a, b = models.a, models.b
-    sigma = {"paper_literal": 1.0, "monotone": -1.0}[models.sign]
 
     def grad(values):
         box = values.reshape(g.shape)
@@ -67,7 +66,7 @@ def independent_residual(state, models):
     DpH_pw = gamma * ((1 + qn**2) ** (gamma / 2 - 1))[:, None] * Q
     H = lam * H_ex + (1 - lam) * H_pw
     DpH = lam * DpH_ex + (1 - lam) * DpH_pw
-    V = lam * (b - np.arctan(m)) + sigma * (1 - lam) * np.arctan(m)
+    V = lam * (b - np.arctan(m)) + (1 - lam) * np.arctan(m)
 
     r_u = u - lap(u) + m**alpha * H + V
     r_m = m - lap(m) - div(DpH * m[:, None]) - 1.0
@@ -117,11 +116,13 @@ class TestResidual:
         assert state.u[0] == -(1.0 + math.pi / 4.0)
         assert residual(state, models).sup_norm < 1e-13
 
-    def test_trivial_solution_monotone_sign(self):
-        grid = TorusGrid(1, 64)
-        models = default_models(grid, sign="monotone")
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 32), TorusGrid(2, 8)])
+    @pytest.mark.parametrize("gamma, alpha", [(1.1, 0.5), (1.75, 1.5)])
+    def test_trivial_root_independent_of_exponents(self, grid, gamma, alpha):
+        models = default_models(grid, gamma=gamma, alpha=alpha)
         state = models.trivial_state()
-        assert state.u[0] == pytest.approx(math.pi / 4.0 - 1.0, abs=1e-15)
+        assert np.all(state.u == -(1.0 + math.pi / 4.0))
+        assert np.all(state.m == 1.0)
         assert residual(state, models).sup_norm < 1e-13
 
     def test_constant_shift_moves_only_the_value_residual(self):
@@ -260,10 +261,10 @@ class TestJacobianTemplate:
 
     @pytest.mark.parametrize("grid", [TorusGrid(1, 16), TorusGrid(2, 8)])
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
-    @pytest.mark.parametrize("sign", ["paper_literal", "monotone"])
+    @pytest.mark.parametrize("gamma", [1.25, 1.75])
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
-    def test_matches_reference_assembly(self, grid, alpha, sign, lam):
-        models = default_models(grid, sign=sign, alpha=alpha)
+    def test_matches_reference_assembly(self, grid, alpha, gamma, lam):
+        models = default_models(grid, gamma=gamma, alpha=alpha)
         state = self.random_state(grid, lam)
         if grid.d == 2:  # the fields vary along x2: cross Hessian entries live
             assert np.max(np.abs(linearize(state, models).ev.DppH[:, 0, 1])) > 1e-3
@@ -361,7 +362,7 @@ class TestSwapAndBilinear:
 
     def test_passed_linearization_gives_same_value(self):
         grid = TorusGrid(2, 12)
-        models = default_models(grid, sign="monotone")
+        models = default_models(grid)
         rng = np.random.default_rng(19)
         state = MFGState(grid, smooth_field(grid, rng, 0.5),
                          smooth_positive_density(grid, rng), 1.0)
