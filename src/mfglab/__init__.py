@@ -12,7 +12,6 @@ Importing the package loads numpy only.  The solver names
 `assemble_jacobian` loads scipy when first called.
 """
 
-from .config import NewtonConfig
 from .grid import ScalarField, TorusGrid, read_field_csv, write_field_csv
 from .hamiltonian import check_parameter_admissibility, coefficient_field
 from .system import MFGModels, MFGState, assemble_jacobian, bilinear_form, residual
@@ -22,7 +21,7 @@ __all__ = [
     "TorusGrid", "ScalarField", "read_field_csv", "write_field_csv",
     "check_parameter_admissibility", "coefficient_field", "MFGModels",
     "MFGState", "residual", "assemble_jacobian", "bilinear_form",
-    "NewtonConfig", "SolvePath", "newton_solve", "continuation_run",
+    "SolvePath", "newton_solve", "continuation_run",
     "DiagnosticsReport", "estimate_suite", "certify",
 ]
 

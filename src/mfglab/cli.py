@@ -18,8 +18,7 @@ import sys
 
 import numpy as np
 
-from .config import (ConfigError, NewtonConfig, RunConfig, load_config,
-                     validate_config)
+from .config import ConfigError, RunConfig, load_config, validate_config
 from .diagnostics import certify, energy_identity, estimate_suite
 from .grid import (ScalarField, TorusGrid, read_field_csv, write_field_csv,
                    write_grid_table)
@@ -68,7 +67,7 @@ def _write_json(obj, path) -> None:
 
 
 def build_setup(cfg: RunConfig):
-    """Grid, models, Newton settings and step floor of a validated config."""
+    """(grid, models, newton.tol, continuation.step_min) of a validated config."""
     grid = TorusGrid(cfg.grid_d, cfg.grid_n)
     try:
         a = coefficient_field(grid, cfg.hamiltonian_a)
@@ -79,15 +78,13 @@ def build_setup(cfg: RunConfig):
         raise ConfigError(f"hamiltonian.a = {cfg.hamiltonian_a!r} is not "
                           "strictly positive on the grid")
     models = MFGModels(grid, cfg.congestion_alpha, cfg.hamiltonian_gamma, a, b)
-    newton = NewtonConfig(tol_residual=cfg.newton_tol,
-                          max_iters=cfg.newton_max_iters)
-    return grid, models, newton, cfg.continuation_step_min
+    return grid, models, cfg.newton_tol, cfg.continuation_step_min
 
 
-def _admissibility_gate(cfg: RunConfig) -> bool:
+def _admissibility_gate(cfg: RunConfig, override: bool) -> bool:
     report = check_parameter_admissibility(
         cfg.hamiltonian_gamma, cfg.congestion_alpha, cfg.grid_d)
-    if report.admissible or cfg.overrides_allow_inadmissible:
+    if report.admissible or override:
         return True
     for cond in report.violated():
         print(f"inadmissible parameters: {cond.name} violated "
@@ -115,15 +112,16 @@ def _write_solution_files(out_dir, grid, models, path) -> None:
             fh.write(",".join(format_json(v) for v in step.values()) + "\n")
 
 
-def cmd_solve(cfg: RunConfig, out_dir: str | None = None) -> int:
+def cmd_solve(cfg: RunConfig, out_dir: str | None = None,
+              override: bool = False) -> int:
     from .solver import continuation_run
 
-    if not _admissibility_gate(cfg):
+    if not _admissibility_gate(cfg, override):
         return EXIT_CONFIG
-    grid, models, newton, step_min = build_setup(cfg)
+    grid, models, tol, step_min = build_setup(cfg)
     out = out_dir or cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    path = continuation_run(models, newton, step_min, log=print)
+    path = continuation_run(models, tol, step_min, log=print)
     _write_solution_files(out, grid, models, path)
     if not path.reached_one:
         print(f"continuation stopped: {path.status} at "
@@ -204,20 +202,20 @@ def _csv_value(v) -> str:
 
 
 def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
-              out_dir: str | None = None) -> int:
+              out_dir: str | None = None, override: bool = False) -> int:
     from .solver import continuation_run
 
     if not gamma_list or not alpha_list:
         print("sweep needs non-empty gamma and alpha lists", file=sys.stderr)
         return EXIT_CONFIG
-    _, base, newton, step_min = build_setup(cfg)
+    _, base, tol, step_min = build_setup(cfg)
     out = out_dir or cfg.output_dir
     os.makedirs(out, exist_ok=True)
     rows = []
     for gamma in gamma_list:
         for alpha in alpha_list:
             adm = check_parameter_admissibility(gamma, alpha, cfg.grid_d)
-            attempt = adm.admissible or cfg.overrides_allow_inadmissible
+            attempt = adm.admissible or override
             row = {"gamma": gamma, "alpha": alpha,
                    "admissible": adm.admissible, "reached_one": False,
                    "iters_total": 0, "min_m": float("nan"),
@@ -231,7 +229,7 @@ def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
                           f"failed to set up: {exc}", file=sys.stderr)
                     rows.append(row)
                     continue
-                path = continuation_run(models, newton, step_min)
+                path = continuation_run(models, tol, step_min)
                 row["reached_one"] = path.reached_one
                 row["iters_total"] = path.total_iters
                 if path.steps:
@@ -285,8 +283,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        if getattr(args, "override_admissibility", False):
-            cfg.overrides_allow_inadmissible = True
         validate_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -294,7 +290,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "solve":
-            return cmd_solve(cfg, args.out)
+            return cmd_solve(cfg, args.out, args.override_admissibility)
         if args.command == "audit":
             return cmd_audit(cfg)
         if args.command == "validate":
@@ -307,7 +303,8 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 print(f"config error: bad sweep list: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-            return cmd_sweep(cfg, gammas, alphas, args.out)
+            return cmd_sweep(cfg, gammas, alphas, args.out,
+                             args.override_admissibility)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,8 +2,9 @@
 
 The format is line oriented: one assignment per line, `#` starts a
 comment, blank lines are ignored.  Parsing and serialization round-trip
-losslessly on all recognized keys.  `NewtonConfig`, the corrector's
-settings, lives here too, so setting up a command imports no solver.
+losslessly on all recognized keys.  Every run setting has one source:
+each is a key here except the admissibility override, which only the
+`--override-admissibility` flag of `solve` and `sweep` sets.
 """
 
 import math
@@ -12,15 +13,6 @@ from dataclasses import dataclass, fields
 
 class ConfigError(Exception):
     """Malformed configuration text or inconsistent values."""
-
-
-def _parse_bool(tok: str) -> bool:
-    low = tok.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {tok!r}")
 
 
 @dataclass
@@ -32,31 +24,13 @@ class RunConfig:
     potential_b: str = "cos_bump"
     congestion_alpha: float = 1.0
     newton_tol: float = 1e-10
-    newton_max_iters: int = 30
     continuation_step_min: float = 1e-4
     output_dir: str = "out"
-    overrides_allow_inadmissible: bool = False
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Newton corrector settings, read from `newton.tol` and
-    `newton.max_iters` (`cli.build_setup`)."""
-
-    tol_residual: float = 1e-10
-    max_iters: int = 30
-
-    def __post_init__(self) -> None:
-        values = (self.tol_residual, self.max_iters)
-        if not all(math.isfinite(v) and v > 0 for v in values):
-            raise ValueError("Newton configuration values must be positive "
-                             f"and finite, got {values}")
 
 
 # config key -> (RunConfig field, converter): the key is the field name
 # with its first "_" read as ".", the converter its annotated type
-_KEYS = {f.name.replace("_", ".", 1):
-         (f.name, _parse_bool if f.type is bool else f.type)
+_KEYS = {f.name.replace("_", ".", 1): (f.name, f.type)
          for f in fields(RunConfig)}
 
 _FIELD_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
@@ -98,12 +72,7 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = f"{value:.17g}"
-        else:
-            rendered = str(value)
+        rendered = f"{value:.17g}" if isinstance(value, float) else str(value)
         lines.append(f"{_FIELD_TO_KEY[f.name]} = {rendered}")
     return "\n".join(lines) + "\n"
 
@@ -127,9 +96,6 @@ def validate_config(cfg: RunConfig) -> None:
             f"congestion.alpha must be positive, got {cfg.congestion_alpha}")
     if cfg.newton_tol <= 0.0:
         raise ConfigError("newton.tol must be positive")
-    if cfg.newton_max_iters < 1:
-        raise ConfigError("newton.max_iters must be at least 1, got "
-                          f"{cfg.newton_max_iters}")
     if not 0.0 < cfg.continuation_step_min <= 1.0:
         raise ConfigError("continuation.step_min must lie in (0, 1], got "
                           f"{cfg.continuation_step_min}")

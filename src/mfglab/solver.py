@@ -14,11 +14,17 @@ J, preconditioned by the most recent sparse LU factor, which is held for
 the whole continuation run (a lagged factor, as in inexact Newton-Krylov
 methods).  The Krylov solution is accepted when its true backward error
 ||J x - b|| / ||b|| is at most 1e-10; otherwise J is factored afresh by
-`solve_direct`, the new factor solves the system under the same gate
-and replaces the held one.  Newton therefore keeps its quadratic
-contraction while consecutive Jacobians along the path share one
-factorization.  Each converged Newton solve is one `NewtonResult`, and
-a continuation path is the list of them.
+`solve_direct`, whose solution must pass the normwise gate
+||J x - b|| / (||J|| ||x|| + ||b||) <= 1e-10 in the infinity norm, and
+the new factor replaces the held one.  The normwise gate does not grow
+with ||J|| ~ 4 d / h^2 as the grid is refined; the Krylov gate stays
+relative to ||b||, because on a singular matrix GMRES can return a huge
+x that a normwise test would accept.  Newton therefore keeps its
+quadratic contraction while consecutive Jacobians along the path share
+one factorization.  A Newton solve converges once its residual is below
+the tolerance or the state's rounding floor (`residual_floor`),
+whichever is larger.  Each converged Newton solve is one
+`NewtonResult`, and a continuation path is the list of them.
 
 On 2D grids SuperLU factors J and orders the columns by minimum degree
 on the pattern of A + A^T (PERMC_SPEC).  The Jacobian is a torus stencil
@@ -78,7 +84,6 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
-from .config import NewtonConfig
 from .grid import TorusGrid
 from .system import (JacobianTemplate, MFGModels, MFGState,
                      assemble_jacobian, jacobian_template, residual)
@@ -87,6 +92,8 @@ REACHED_ONE = "reached_one"
 STEP_UNDERFLOW = "step_underflow"
 NEWTON_DIVERGENCE = "newton_divergence"
 
+MAX_NEWTON_ITERS = 30
+EPS = np.finfo(float).eps
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 25
 # the line search keeps every density value above this floor
@@ -183,9 +190,27 @@ class SolvePath:
 
 
 def backward_error(matrix: sp.spmatrix, x: np.ndarray, rhs: np.ndarray) -> float:
-    """||matrix x - rhs|| / ||rhs||, the gate every linear solve must pass."""
+    """||matrix x - rhs|| / ||rhs||, the gate of a Krylov solve."""
     denom = max(float(np.linalg.norm(rhs)), 1e-300)
     return float(np.linalg.norm(matrix @ x - rhs)) / denom
+
+
+def normwise_backward_error(matrix: sp.spmatrix, x: np.ndarray,
+                            rhs: np.ndarray) -> float:
+    """||A x - b|| / (||A|| ||x|| + ||b||) in the infinity norm, A = matrix.
+
+    The gate of a direct solve: the smallest relative perturbation of A
+    and b of which x is the exact solution (Rigal & Gaches 1967; Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 7), so it
+    does not grow with the norm of A as the grid is refined.
+    """
+    csr = matrix.tocsr()
+    ptr = csr.indptr
+    # row sums of |A| from the CSR data: reduceat over the nonempty rows
+    # only, since it would read an empty row's sum from the next row
+    rows = np.add.reduceat(np.abs(csr.data), ptr[:-1][ptr[1:] > ptr[:-1]])
+    denom = rows.max(initial=0.0) * np.abs(x).max() + np.abs(rhs).max()
+    return float(np.abs(matrix @ x - rhs).max() / max(denom, 1e-300))
 
 
 def gmres(matvec, precond, rhs: np.ndarray, max_iters: int,
@@ -455,7 +480,7 @@ class BandLU:
 
 def solve_direct(matrix: sp.spmatrix, rhs: np.ndarray,
                  grid: TorusGrid | None = None):
-    """LU solve with a backward-error gate of 1e-10: returns (x, factor).
+    """LU solve with a normwise backward-error gate of 1e-10: (x, factor).
 
     On a 1D `grid` a matrix on the pattern of the grid's Jacobian
     template is factored as a band matrix (`BandLU`); every other matrix
@@ -475,15 +500,27 @@ def solve_direct(matrix: sp.spmatrix, rhs: np.ndarray,
             raise SingularSystemError(f"factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite solution")
-    backward = backward_error(matrix, x, rhs)
+    backward = normwise_backward_error(matrix, x, rhs)
     if backward > BACKWARD_ERROR_GATE:
         raise SingularSystemError(
             f"numerically rank-deficient system (backward error {backward:.3e})")
     return x, factor
 
 
+def residual_floor(state: MFGState) -> float:
+    """eps (1 + 4 d / h^2) max(||u||, ||m||) in the sup norm.
+
+    The rounding error of evaluating I - lap, whose infinity norm is
+    1 + 4 d / h^2, on the state: a residual below it is not a
+    meaningful target.  It grows 4x per halving of h.
+    """
+    grid = state.grid
+    scale = max(np.abs(state.u).max(), np.abs(state.m).max())
+    return float(EPS * (1.0 + 4.0 * grid.d / grid.h**2) * scale)
+
+
 def newton_solve(init: MFGState, lam: float, models: MFGModels,
-                 cfg: NewtonConfig = NewtonConfig(),
+                 tol: float = 1e-10,
                  linear: LaggedLU | None = None) -> NewtonResult:
     """Damped Newton on the discrete system at fixed lam.
 
@@ -493,6 +530,10 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
     at most MAX_BACKTRACKS times), accepting the first t that keeps
     min(m + t delta_m) above max(MIN_M_FLOOR, 0.1 min m) and reduces the
     sup-norm residual.
+
+    The solve converges once the sup-norm residual is below
+    max(tol, `residual_floor(state)`), the rounding floor of the current
+    state, and fails after MAX_NEWTON_ITERS iterations.
     """
     if float(np.min(init.m)) <= MIN_M_FLOOR:
         raise ValueError("initial density at or below the positivity floor")
@@ -503,8 +544,8 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
     rnorm = res.sup_norm
     history = [rnorm]
 
-    for it in range(cfg.max_iters):
-        if rnorm < cfg.tol_residual:
+    for it in range(MAX_NEWTON_ITERS):
+        if rnorm < tol or rnorm < residual_floor(state):
             return NewtonResult(state, it, rnorm, history)
         jac = assemble_jacobian(state, models, res.lin)
         delta = linear.solve(jac, -res.stack())
@@ -529,15 +570,14 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
             raise NewtonDivergenceError(
                 f"line search stalled at lambda={lam:.6g} (residual {rnorm:.3e})")
 
-    if rnorm < cfg.tol_residual:
-        return NewtonResult(state, cfg.max_iters, rnorm, history)
+    if rnorm < tol or rnorm < residual_floor(state):
+        return NewtonResult(state, MAX_NEWTON_ITERS, rnorm, history)
     raise NewtonDivergenceError(
-        f"no convergence in {cfg.max_iters} iterations at lambda={lam:.6g} "
+        f"no convergence in {MAX_NEWTON_ITERS} iterations at lambda={lam:.6g} "
         f"(residual {rnorm:.3e})")
 
 
-def continuation_run(models: MFGModels,
-                     newton_cfg: NewtonConfig = NewtonConfig(),
+def continuation_run(models: MFGModels, tol: float = 1e-10,
                      step_min: float = 1e-4, log=None) -> SolvePath:
     """Follow the solution branch from lam = 0 to lam = 1.
 
@@ -563,16 +603,16 @@ def continuation_run(models: MFGModels,
     grid = models.grid
     if (grid.d == 2 and grid.n % 2 == 0
             and grid.n // 2 >= TWO_LEVEL_MIN_COARSE_N):
-        path = two_level_run(models, newton_cfg, step_min)
+        path = two_level_run(models, tol, step_min)
         if path is not None:
             if log is not None:
                 for line in path.log_lines():
                     log(line)
             return path
-    return _continue(models, newton_cfg, step_min, LaggedLU(grid), log)
+    return _continue(models, tol, step_min, LaggedLU(grid), log)
 
 
-def two_level_run(models: MFGModels, newton_cfg: NewtonConfig,
+def two_level_run(models: MFGModels, tol: float,
                   step_min: float) -> SolvePath | None:
     """Solve on the n / 2 grid, then finish with one Newton solve at lam = 1.
 
@@ -597,7 +637,7 @@ def two_level_run(models: MFGModels, newton_cfg: NewtonConfig,
     coarse_models = replace(models, grid=coarse, a=inject(models.a),
                             b=inject(models.b))
     linear = LaggedLU(coarse)
-    path = _continue(coarse_models, newton_cfg, step_min, linear)
+    path = _continue(coarse_models, tol, step_min, linear)
     if not path.reached_one or linear.factor is None:
         return None
     top = path.final_state
@@ -605,8 +645,7 @@ def two_level_run(models: MFGModels, newton_cfg: NewtonConfig,
     if float(np.min(m)) <= MIN_M_FLOOR:
         return None
     try:
-        result = newton_solve(MFGState(fine, u, m, 1.0), 1.0, models,
-                              newton_cfg,
+        result = newton_solve(MFGState(fine, u, m, 1.0), 1.0, models, tol,
                               LaggedLU(fine, (coarse, linear.factor)))
     except SolverError:
         return None
@@ -614,7 +653,7 @@ def two_level_run(models: MFGModels, newton_cfg: NewtonConfig,
     return path
 
 
-def _continue(models: MFGModels, newton_cfg: NewtonConfig, step_min: float,
+def _continue(models: MFGModels, tol: float, step_min: float,
               linear: LaggedLU, log=None) -> SolvePath:
     """The continuation of `continuation_run` on the models' own grid."""
     state = models.trivial_state()
@@ -628,7 +667,7 @@ def _continue(models: MFGModels, newton_cfg: NewtonConfig, step_min: float,
     while lam < 1.0:
         target = min(1.0, lam + step)
         try:
-            result = newton_solve(state, target, models, newton_cfg, linear)
+            result = newton_solve(state, target, models, tol, linear)
         except SolverError as exc:
             path.reason = str(exc)
             step = target - lam

@@ -16,7 +16,7 @@ from mfglab.diagnostics import energy_identity, estimate_suite
 from mfglab.grid import TorusGrid
 from mfglab.hamiltonian import (check_parameter_admissibility, conjugate_exponent,
                                 example_eval, power_eval, solve_optimal_speed)
-from mfglab.solver import NewtonConfig, continuation_run, newton_solve
+from mfglab.solver import continuation_run, newton_solve
 from mfglab.system import (MFGState, PerturbationPair, assemble_jacobian,
                            bilinear_form, residual)
 
@@ -76,6 +76,17 @@ def test_criterion_2_two_dimensional_run():
            f"status={path.status} in {elapsed:.1f}s")
 
 
+@pytest.mark.parametrize("d, n", [(1, 1024), (1, 2048), (2, 256)])
+def test_criterion_2_refined_grid_reaches_one(d, n):
+    # the Newton floor and the direct-solve gate scale with the grid: a
+    # finer grid must not stop the default run short of lam = 1
+    grid = TorusGrid(d, n)
+    path = continuation_run(default_models(grid))
+    report(2, f"full continuation, {d}D n={n}", path.reached_one,
+           f"status={path.status} at lambda={path.lambdas[-1]:.6g} "
+           f"{path.reason}")
+
+
 def test_criterion_3_mass_conservation(run_128):
     grid, _, path, _ = run_128
     worst = max(abs(grid.integrate(s.state.m) - 1.0) for s in path.steps)
@@ -89,9 +100,18 @@ def test_criterion_4_energy_identity_convergence(run_128, run_64):
     _, _, res_128 = energy_identity(path_128.final_state, models_128)
     _, _, res_64 = energy_identity(path_64.final_state, models_64)
     ratio = res_64 / res_128
-    ok = res_128 < 1e-3 and 3.2 <= ratio <= 4.8
+    fine = {}
+    for n in (256, 512):
+        models = default_models(TorusGrid(1, n))
+        path = continuation_run(models)
+        assert path.reached_one, f"n={n}: {path.status}: {path.reason}"
+        _, _, fine[n] = energy_identity(path.final_state, models)
+    fine_ratio = fine[256] / fine[512]
+    ok = (res_128 < 1e-3 and 3.2 <= ratio <= 4.8
+          and 3.2 <= fine_ratio <= 4.8)
     report(4, "energy identity convergence", ok,
-           f"residual n=128 {res_128:.3e}, n=64/n=128 ratio {ratio:.3f}")
+           f"residual n=128 {res_128:.3e}, n=64/n=128 ratio {ratio:.3f}, "
+           f"n=256/n=512 ratio {fine_ratio:.3f}")
 
 
 def test_criterion_5_jacobian_fidelity_and_quadratic_contraction():

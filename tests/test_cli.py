@@ -73,7 +73,8 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["output.formats", "continuation.step_init",
                                      "continuation.grow", "continuation.shrink",
                                      "hamiltonian.kind", "newton.min_m_floor",
-                                     "potential.sign"])
+                                     "potential.sign", "newton.max_iters",
+                                     "overrides.allow_inadmissible"])
     def test_removed_key_rejected(self, key):
         with pytest.raises(ConfigError,
                            match=f"line 2: unrecognized key '{key}'"):
@@ -131,6 +132,15 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "gamma_alpha_coupling" in err and "gamma < 1 + 1/(1 + 2 alpha)" in err
 
+    def test_override_flag_solves_inadmissible_config(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("hamiltonian.gamma = 1.9\ncongestion.alpha = 1.5\n"
+                        "grid.n = 16\n")
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(path), "--out", str(out),
+                     "--override-admissibility"]) == 0
+        assert (out / "u.csv").exists()
+
     def test_unparseable_config_exits_2_with_location(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"
         path.write_text("grid.n = 32\nwhat even is this\n")
@@ -145,9 +155,13 @@ class TestSolveCommand:
         field = read_field_csv(os.path.join(out, "m.csv"))
         assert field.grid == TorusGrid(1, 128)
 
-    def test_solver_failure_maps_to_exit_3(self, tmp_path, capsys):
+    def test_solver_failure_maps_to_exit_3(self, tmp_path, capsys,
+                                           monkeypatch):
+        from mfglab import solver
+
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
         path = tmp_path / "hard.cfg"
-        path.write_text("grid.n = 32\nnewton.max_iters = 1\n")
+        path.write_text("grid.n = 32\n")
         code = main(["solve", "--config", str(path),
                      "--out", str(tmp_path / "o")])
         assert code == 3
@@ -156,8 +170,7 @@ class TestSolveCommand:
         assert "no convergence in 1 iterations" in err
 
     @pytest.mark.parametrize("line", [
-        "newton.max_iters = 0", "newton.max_iters = -3", "newton.tol = nan",
-        "newton.tol = inf", "congestion.alpha = nan"])
+        "newton.tol = nan", "newton.tol = inf", "congestion.alpha = nan"])
     def test_escaping_value_exits_2_with_config_error(self, line, tmp_path,
                                                       capsys):
         path = tmp_path / "bad.cfg"
@@ -171,7 +184,9 @@ class TestSolveCommand:
     @pytest.mark.parametrize("line, message", [
         ("hamiltonian.a = bogus", "unknown coefficient field descriptor"),
         ("hamiltonian.a = fourier:nan", "non-finite Fourier coefficient"),
-        ("potential.b = fourier:0,inf", "non-finite Fourier coefficient")])
+        ("potential.b = fourier:0,inf", "non-finite Fourier coefficient"),
+        ("hamiltonian.a = fourier:0.1,1", "hamiltonian.a = 'fourier:0.1,1' "
+         "is not strictly positive on the grid")])
     def test_bad_coefficient_field_exits_2_with_config_error(
             self, line, message, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -435,6 +450,17 @@ class TestSweepCommand:
         assert row[4] == "0"  # no solve attempted
         assert row[5] == row[6] == "nan"
 
+    def test_override_flag_attempts_inadmissible_pair(self, fast_config,
+                                                      tmp_path):
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--config", fast_config, "--out", out,
+                     "--gamma", "1.9", "--alpha", "1.5",
+                     "--override-admissibility"]) == 0
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            row = fh.read().splitlines()[1].split(",")
+        assert row[2] == "false" and row[3] == "true"
+        assert int(row[4]) > 0
+
     def test_empty_list_is_config_error(self, fast_config, tmp_path, capsys):
         assert main(["sweep", "--config", fast_config,
                      "--out", str(tmp_path / "s"), "--gamma", "1.25",
@@ -620,13 +646,11 @@ class TestStartup:
 
     def test_solver_names_resolve_to_the_solver_module(self):
         import mfglab
-        from mfglab import config, solver
+        from mfglab import solver
 
         assert mfglab.continuation_run is solver.continuation_run
         assert mfglab.newton_solve is solver.newton_solve
         assert mfglab.SolvePath is solver.SolvePath
-        assert solver.NewtonConfig is config.NewtonConfig
-        assert mfglab.NewtonConfig is config.NewtonConfig
         with pytest.raises(AttributeError, match="no_such_name"):
             mfglab.no_such_name
 

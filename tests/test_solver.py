@@ -1,6 +1,7 @@
 """Newton corrector and continuation driver behavior."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from scipy.sparse.linalg import SuperLU, splu
 from helpers import default_models, smooth_field, two_dimensional_models
 from mfglab import solver, system
 from mfglab.grid import TorusGrid
-from mfglab.solver import (BandLU, LaggedLU, NewtonConfig,
-                           NewtonDivergenceError, SingularSystemError,
-                           backward_error, band_layout,
+from mfglab.solver import (BandLU, LaggedLU, NewtonDivergenceError,
+                           SingularSystemError, backward_error, band_layout,
                            continuation_run, fourier_resample, gmres,
-                           newton_solve, solve_direct, transfer_matrix,
+                           newton_solve, normwise_backward_error,
+                           residual_floor, solve_direct, transfer_matrix,
                            two_grid_cycle)
 from mfglab.system import MFGState, assemble_jacobian, residual
 
@@ -115,6 +116,33 @@ class TestSolveDirect:
         mat[3, :] = mat[4, :]
         with pytest.raises(SingularSystemError):
             solve_direct(mat.tocsr(), np.ones(8))
+
+    @pytest.mark.parametrize("band", [True, False])
+    def test_gate_is_relative_to_the_matrix_norm(self, band):
+        # the first Newton system of the default run at 1D n = 1024: the
+        # entries of I - lap are about 4e6, so a backward-stable solution
+        # misses a gate relative to ||rhs|| alone
+        grid = TorusGrid(1, 1024)
+        models = default_models(grid)
+        state = replace(models.trivial_state(), lam=1.0)
+        res = residual(state, models)
+        jac, rhs = assemble_jacobian(state, models, res.lin), -res.stack()
+        x, factor = solve_direct(jac, rhs, grid if band else None)
+        assert isinstance(factor, BandLU) == band
+        assert backward_error(jac, x, rhs) > 1e-10
+        assert normwise_backward_error(jac, x, rhs) <= 1e-10
+
+    @pytest.mark.parametrize("empty_rows", [[0], [2], [5], [0, 1, 5]])
+    def test_normwise_error_with_empty_rows(self, empty_rows):
+        rng = np.random.default_rng(11)
+        dense = rng.standard_normal((6, 6))
+        dense[empty_rows] = 0.0
+        x, rhs = rng.standard_normal(6), rng.standard_normal(6)
+        norm_a = np.max(np.sum(np.abs(dense), axis=1))
+        expected = np.max(np.abs(dense @ x - rhs)) / (
+            norm_a * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+        assert normwise_backward_error(sp.csr_matrix(dense), x, rhs) == \
+            pytest.approx(expected, rel=1e-14)
 
 
 class TestGmres:
@@ -372,12 +400,31 @@ class TestNewton:
         with pytest.raises(ValueError):
             newton_solve(state, 0.0, models)
 
-    def test_divergence_signalled_when_budget_too_small(self):
+    def test_divergence_signalled_when_budget_too_small(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
         grid = TorusGrid(1, 64)
         models = default_models(grid)
         init = models.trivial_state()
         with pytest.raises(NewtonDivergenceError):
-            newton_solve(init, 0.5, models, NewtonConfig(max_iters=1))
+            newton_solve(init, 0.5, models)
+
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 128), TorusGrid(2, 32)])
+    def test_rounding_floor_of_a_state(self, grid):
+        state = default_models(grid).trivial_state()  # u = -(1 + pi / 4), m = 1
+        expected = (np.finfo(float).eps * (1 + 4 * grid.d * grid.n**2)
+                    * (1 + np.pi / 4))
+        assert residual_floor(state) == pytest.approx(expected, rel=1e-15)
+
+    def test_converges_at_the_rounding_floor(self):
+        # at 1D n = 2048 the floor of the solution, 6.7e-9, is above the
+        # default tolerance 1e-10, which no iteration could reach; at
+        # n = 128 it is 2.6e-11, so the tolerance decides there
+        for n, floor_decides in ((2048, True), (128, False)):
+            models = default_models(TorusGrid(1, n))
+            result = newton_solve(models.trivial_state(), 1.0, models)
+            floor = residual_floor(result.state)
+            assert result.residual_norm < max(1e-10, floor)
+            assert (result.residual_norm >= 1e-10) == floor_decides
 
     @pytest.mark.parametrize("grid", [TorusGrid(1, 32), TorusGrid(2, 16)])
     def test_one_hamiltonian_evaluation_per_state(self, grid, monkeypatch):
@@ -396,18 +443,6 @@ class TestNewton:
         result = newton_solve(models.trivial_state(), 0.4, models)
         assert result.iters == calls["jacobian"] >= 2
         assert calls["eval"] == calls["residual"]
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            NewtonConfig(tol_residual=-1e-10)
-
-    @pytest.mark.parametrize("field", ["tol_residual"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_config_rejected(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
-            NewtonConfig(**{field: value})
 
 
 class TestContinuation:
@@ -429,19 +464,21 @@ class TestContinuation:
         for step in path.steps:
             assert abs(grid.integrate(step.state.m) - 1.0) < 1e-10
 
-    def test_crippled_corrector_underflows_step(self):
+    def test_crippled_corrector_underflows_step(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
         grid = TorusGrid(1, 32)
         models = default_models(grid)
-        path = continuation_run(models, NewtonConfig(max_iters=1))
+        path = continuation_run(models)
         assert path.status == "step_underflow"
         assert path.lambdas == [0.0]  # retains the last successful weight
         assert path.reason.startswith("no convergence in 1 iterations")
 
-    def test_fixed_step_failure_reports_divergence(self):
+    def test_fixed_step_failure_reports_divergence(self, monkeypatch):
         # with no step adaptation available, the corrector is the blocker
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
         grid = TorusGrid(1, 32)
         models = default_models(grid)
-        path = continuation_run(models, NewtonConfig(max_iters=1), step_min=1.0)
+        path = continuation_run(models, step_min=1.0)
         assert path.status == "newton_divergence"
         assert path.lambdas == [0.0]
 
