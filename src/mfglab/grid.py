@@ -200,8 +200,7 @@ _AXES = {1: "x", 2: "x,y"}
 
 def write_grid_table(path, grid: TorusGrid, names, columns) -> None:
     """Write `x[,y],<names>` rows, one column of grid.npoints per name."""
-    # the axis of TorusGrid.coords
-    axis = [f"{c:.17g}" for c in (np.arange(grid.n) * grid.h).tolist()]
+    axis = [f"{c:.17g}" for c in grid.axis().tolist()]
     tails = [c + ",%.17g" * len(names) + "\n" for c in axis]
     prefixes = [""] if grid.d == 1 else [c + "," for c in axis]
     lines = [np.asarray(c, dtype=float).reshape(len(prefixes), -1)

@@ -84,6 +84,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
+from .config import RunConfig
 from .grid import TorusGrid
 from .system import (JacobianTemplate, MFGModels, MFGState,
                      assemble_jacobian, jacobian_template, residual)
@@ -520,7 +521,7 @@ def residual_floor(state: MFGState) -> float:
 
 
 def newton_solve(init: MFGState, lam: float, models: MFGModels,
-                 tol: float = 1e-10,
+                 tol: float = RunConfig.newton_tol,
                  linear: LaggedLU | None = None) -> NewtonResult:
     """Damped Newton on the discrete system at fixed lam.
 
@@ -547,7 +548,7 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
     for it in range(MAX_NEWTON_ITERS):
         if rnorm < tol or rnorm < residual_floor(state):
             return NewtonResult(state, it, rnorm, history)
-        jac = assemble_jacobian(state, models, res.lin)
+        jac = assemble_jacobian(res.lin)
         delta = linear.solve(jac, -res.stack())
         n = state.grid.npoints
         du, dm = delta[:n], delta[n:]
@@ -577,8 +578,9 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
         f"(residual {rnorm:.3e})")
 
 
-def continuation_run(models: MFGModels, tol: float = 1e-10,
-                     step_min: float = 1e-4, log=None) -> SolvePath:
+def continuation_run(models: MFGModels, tol: float = RunConfig.newton_tol,
+                     step_min: float = RunConfig.continuation_step_min,
+                     log=None) -> SolvePath:
     """Follow the solution branch from lam = 0 to lam = 1.
 
     The first attempt targets lam = 1 directly.  Each attempt goes from

@@ -22,27 +22,32 @@ quadratically on the discrete system.
 A state is evaluated once: `residual` computes the Hamiltonian (with
 its speed inversion) and the pointwise coefficients of the
 linearization together, and returns them on the ResidualPair (`lin`).
-`assemble_jacobian`, `apply_linearized` and `bilinear_form` take such
-a linearization and evaluate afresh only without one.  The Jacobian's
-sparsity pattern depends on the grid alone: `jacobian_template`
-computes it once per grid from the stencils of the grid operators
-themselves (so residual and Jacobian share one calculus), with the
-data of the two I - lap blocks and a sparse map S from the stacked
-coefficients c = (DpH, density coupling, m^(1-alpha) DppH, W) to the
-matrix data, so an assembly is data = data0 + S c.  Entries whose
-value vanishes at a state stay in the pattern as explicit zeros.
-`jacobian_template` and `assemble_jacobian` are the only code here
-that needs scipy, and they import it when first called: the residual,
-the linearization and the bilinear form run on numpy alone.
+The linearization is the only input of the state's linear algebra:
+`assemble_jacobian` and `bilinear_form` read it and evaluate nothing
+again, and `linearize` builds one without the residual.  The
+Jacobian's sparsity pattern depends on the grid alone:
+`jacobian_template` computes it once per grid from the stencils of the
+grid operators themselves (so residual and Jacobian share one
+calculus), with the data of the two I - lap blocks and a sparse map S
+from the stacked coefficients c = (DpH, density coupling,
+m^(1-alpha) DppH, W) to the matrix data, so an assembly is
+data = data0 + S c.  Entries whose value vanishes at a state stay in
+the pattern as explicit zeros.  `jacobian_template` and
+`assemble_jacobian` are the only code here that needs scipy, and they
+import it when first called: the residual, the linearization and the
+bilinear form run on numpy alone.
 
-The swap map P(v, f) = (f, -v) and the bilinear form
+The monotonicity test used to certify uniqueness is the form
+B[w, w] = integrate( f row1 - v row2 ) of the linearization, w = (v, f).
+The laplacian is symmetric and the divergence the exact negative
+adjoint of the gradient, so summation by parts makes it pointwise in
+the coefficients, with g = grad(v), c the density coupling and
+k = DpH - W = alpha DppH Q:
 
-    B_lam[w1, w2] = integrate( L_lam(w1) . P w2 )
+    B[w, w] = integrate( c f^2 + f k.g - m^(1-alpha) g.DppH g ).
 
-turn the linearization into the monotonicity test used to certify
-uniqueness: at a solution of the lam = 1 system with a potential that
-decreases in m, B_lam[w, w] <= 0 with equality only for f = 0 and
-grad(v) = 0.
+At a solution of the lam = 1 system with a potential that decreases
+in m, B[w, w] <= 0 with equality only for f = 0 and grad(v) = 0.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ class MFGState:
 class ResidualPair:
     r_u: np.ndarray
     r_m: np.ndarray
-    lin: Linearization | None = field(default=None, repr=False, compare=False)
+    lin: Linearization = field(repr=False, compare=False)
 
     @property
     def sup_norm(self) -> float:
@@ -95,15 +100,6 @@ class ResidualPair:
 
     def stack(self) -> np.ndarray:
         return np.concatenate([self.r_u, self.r_m])
-
-
-@dataclass
-class PerturbationPair:
-    v: np.ndarray
-    f: np.ndarray
-
-    def stack(self) -> np.ndarray:
-        return np.concatenate([self.v, self.f])
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,6 +148,7 @@ def _check_density(m: np.ndarray) -> None:
 class Linearization:
     """Pointwise coefficients of the linearized operator at a state."""
 
+    grid: TorusGrid
     ev: HamiltonianEval         # at Q = grad(u) / m^alpha
     density_coupling: np.ndarray  # (N,) coefficient of f in the u-row
     W: np.ndarray               # (N, d) transported vector DpH - alpha DppH.Q
@@ -170,7 +167,8 @@ def _evaluate(state: MFGState, models: MFGModels):
     density_coupling = alpha * state.m ** (alpha - 1.0) * (ev.H - q_dot) + DmV
     hess_q = np.einsum("kij,kj->ki", ev.DppH, Q)
     W = ev.DpH - alpha * hess_q
-    lin = Linearization(ev, density_coupling, W, state.m ** (1.0 - alpha))
+    lin = Linearization(state.grid, ev, density_coupling, W,
+                        state.m ** (1.0 - alpha))
     return ma, V, lin
 
 
@@ -306,8 +304,7 @@ def jacobian_template(grid: TorusGrid) -> JacobianTemplate:
     return template
 
 
-def assemble_jacobian(state: MFGState, models: MFGModels,
-                      lin: Linearization | None = None) -> sp.csr_matrix:
+def assemble_jacobian(lin: Linearization) -> sp.csr_matrix:
     """Sparse 2N x 2N derivative of the discrete residual, blocks
 
     [[ duu, dum ],      duu = I - lap + DpH . grad
@@ -315,16 +312,13 @@ def assemble_jacobian(state: MFGState, models: MFGModels,
                         dmu = -div( m^(1-alpha) DppH grad . )
                         dmm = I - lap - div( W . )
 
-    filled into the grid's cached `jacobian_template`.  Pass the `lin`
-    of the state's residual to skip evaluating the Hamiltonian again.
+    at the state of `lin`, filled into the grid's cached
+    `jacobian_template`.
     """
     import scipy.sparse as sp
 
-    if lin is None:
-        lin = linearize(state, models)
-    grid = state.grid
-    N, d = grid.npoints, grid.d
-    template = jacobian_template(grid)
+    N, d = lin.grid.npoints, lin.grid.d
+    template = jacobian_template(lin.grid)
     hess = (lin.m_scale[:, None, None] * lin.ev.DppH).reshape(N, d * d)
     coef = np.concatenate([lin.ev.DpH.T.ravel(), lin.density_coupling,
                            hess.T.ravel(), lin.W.T.ravel()])
@@ -333,35 +327,15 @@ def assemble_jacobian(state: MFGState, models: MFGModels,
                          shape=(2 * N, 2 * N))
 
 
-def apply_linearized(state: MFGState, models: MFGModels,
-                     w: PerturbationPair,
-                     lin: Linearization | None = None) -> PerturbationPair:
-    """Action of the linearized operator on w = (v, f) via grid operators."""
-    if lin is None:
-        lin = linearize(state, models)
-    grid = state.grid
-    v, f = w.v, w.f
-    Dv = grid.gradient(v)
-    row1 = (v - grid.laplacian(v) + lin.density_coupling * f
-            + np.einsum("ki,ki->k", lin.ev.DpH, Dv))
-    # W = DpH - alpha DppH Q, the coefficient of f that the dmm block reads
-    flux = (lin.W * f[:, None]
-            + lin.m_scale[:, None] * np.einsum("kij,kj->ki", lin.ev.DppH, Dv))
-    row2 = f - grid.laplacian(f) - grid.divergence(flux)
-    return PerturbationPair(row1, row2)
+def bilinear_form(lin: Linearization, v: np.ndarray, f: np.ndarray) -> float:
+    """B[w, w] at the state of `lin`, w = (v, f), as a pointwise sum.
 
-
-def apply_swap(w: PerturbationPair) -> PerturbationPair:
-    """P(v, f) = (f, -v); P^2 = -I and <Pw, w> = 0."""
-    return PerturbationPair(w.f.copy(), -w.v)
-
-
-def bilinear_form(w1: PerturbationPair, w2: PerturbationPair,
-                  state: MFGState, models: MFGModels,
-                  lin: Linearization | None = None) -> float:
-    """B[w1, w2] = integrate( L(w1) . P w2 ), at `lin` when given."""
-    lw = apply_linearized(state, models, w1, lin)
-    pw = apply_swap(w2)
-    grid = state.grid
-    return grid.integrate(lw.v * pw.v + lw.f * pw.f)
-
+    integrate( c f^2 + f k.g - m^(1-alpha) g.DppH g ), with g = grad(v),
+    c the density coupling and k = DpH - W; it equals
+    integrate( f row1 - v row2 ) of the Jacobian's action on w.
+    """
+    g = lin.grid.gradient(v)
+    transport = np.einsum("ki,ki->k", lin.ev.DpH - lin.W, g)
+    diffusion = np.einsum("ki,kij,kj->k", g, lin.ev.DppH, g)
+    return lin.grid.integrate(lin.density_coupling * f * f + f * transport
+                              - lin.m_scale * diffusion)

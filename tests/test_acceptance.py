@@ -17,8 +17,8 @@ from mfglab.grid import TorusGrid
 from mfglab.hamiltonian import (check_parameter_admissibility, conjugate_exponent,
                                 example_eval, power_eval, solve_optimal_speed)
 from mfglab.solver import continuation_run, newton_solve
-from mfglab.system import (MFGState, PerturbationPair, assemble_jacobian,
-                           bilinear_form, residual)
+from mfglab.system import (MFGState, assemble_jacobian, bilinear_form,
+                           linearize, residual)
 
 
 def report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -124,7 +124,7 @@ def test_criterion_5_jacobian_fidelity_and_quadratic_contraction():
         state = MFGState(grid, smooth_field(grid, rng, 0.5),
                          smooth_positive_density(grid, rng),
                          rng.uniform(0.0, 1.0))
-        jac = assemble_jacobian(state, models)
+        jac = assemble_jacobian(linearize(state, models))
         w = np.concatenate([smooth_field(grid, rng), smooth_field(grid, rng)])
         t = 1e-6
         plus = MFGState(grid, state.u + t * w[:n], state.m + t * w[n:], state.lam)
@@ -169,22 +169,21 @@ def test_criterion_6_uniqueness_monotone_regime(run_128):
 
 def test_criterion_7_monotonicity_form(run_128):
     grid, models, path, _ = run_128
-    state = path.final_state
+    lin = linearize(path.final_state, models)
     rng = np.random.default_rng(77)
     worst = -math.inf
     strict_ok = True
     for _ in range(100):
-        w = PerturbationPair(rng.standard_normal(grid.npoints),
-                             rng.standard_normal(grid.npoints))
-        value = bilinear_form(w, w, state, models)
+        v = rng.standard_normal(grid.npoints)
+        f = rng.standard_normal(grid.npoints)
+        value = bilinear_form(lin, v, f)
         worst = max(worst, value)
-        size = (np.linalg.norm(w.f)
-                + np.linalg.norm(grid.gradient(w.v)))
+        size = (np.linalg.norm(f)
+                + np.linalg.norm(grid.gradient(v)))
         if size > 1e-6 and not value < 0.0:
             strict_ok = False
-    harmonic = PerturbationPair(np.zeros(grid.npoints),
-                                np.sin(2 * np.pi * grid.coords()[:, 0]))
-    b_harmonic = bilinear_form(harmonic, harmonic, state, models)
+    b_harmonic = bilinear_form(lin, np.zeros(grid.npoints),
+                               np.sin(2 * np.pi * grid.coords()[:, 0]))
     ok = worst <= 1e-10 and strict_ok and b_harmonic < 0.0
     report(7, "monotonicity of the bilinear form", ok,
            f"max B[w,w] = {worst:.3e}, B[(0,sin)] = {b_harmonic:.3e}")

@@ -11,13 +11,15 @@ from scipy.sparse.linalg import SuperLU, splu
 from helpers import default_models, smooth_field, two_dimensional_models
 from mfglab import solver, system
 from mfglab.grid import TorusGrid
+from mfglab.hamiltonian import coefficient_field
 from mfglab.solver import (BandLU, LaggedLU, NewtonDivergenceError,
-                           SingularSystemError, backward_error, band_layout,
-                           continuation_run, fourier_resample, gmres,
-                           newton_solve, normwise_backward_error,
+                           SingularSystemError, SolverError, backward_error,
+                           band_layout, continuation_run, fourier_resample,
+                           gmres, newton_solve, normwise_backward_error,
                            residual_floor, solve_direct, transfer_matrix,
                            two_grid_cycle)
-from mfglab.system import MFGState, assemble_jacobian, residual
+from mfglab.system import (MFGModels, MFGState, assemble_jacobian,
+                           bilinear_form, linearize, residual)
 
 
 def count_factorizations(monkeypatch, band_calls: list | None = None) -> list:
@@ -77,7 +79,7 @@ def newton_system(grid: TorusGrid) -> tuple[sp.csr_matrix, np.ndarray]:
                      base.m * (1.0 + 0.05 * np.tanh(smooth_field(grid, rng))),
                      0.5)
     res = residual(state, models)
-    return assemble_jacobian(state, models, res.lin), -res.stack()
+    return assemble_jacobian(res.lin), -res.stack()
 
 
 def jacobian_2d(n: int = 16) -> sp.csr_matrix:
@@ -126,7 +128,7 @@ class TestSolveDirect:
         models = default_models(grid)
         state = replace(models.trivial_state(), lam=1.0)
         res = residual(state, models)
-        jac, rhs = assemble_jacobian(state, models, res.lin), -res.stack()
+        jac, rhs = assemble_jacobian(res.lin), -res.stack()
         x, factor = solve_direct(jac, rhs, grid if band else None)
         assert isinstance(factor, BandLU) == band
         assert backward_error(jac, x, rhs) > 1e-10
@@ -234,7 +236,7 @@ class TestLaggedLU:
     def test_banded_factor_is_not_held(self, monkeypatch):
         grid = TorusGrid(1, 64)
         models = default_models(grid)
-        jac = assemble_jacobian(models.trivial_state(), models)
+        jac = assemble_jacobian(linearize(models.trivial_state(), models))
         linear = LaggedLU(grid)
         band = []
         calls = count_factorizations(monkeypatch, band)
@@ -506,6 +508,45 @@ class TestContinuation:
         assert path.lambdas == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert targets == [1.0, 0.5, 0.25, 0.75, 0.5, 1.0, 0.75, 1.0]
 
+    def test_low_density_regime(self, monkeypatch):
+        """b = 1e4 cos(2 pi x1), gamma = 1.9, alpha = 0.02 at 1D n = 256: the
+        density nearly vanishes, the path needs rejected attempts, and the
+        pointwise monotonicity form agrees with the assembled Jacobian."""
+        grid = TorusGrid(1, 256)
+        models = MFGModels(grid, 0.02, 1.9,
+                           coefficient_field(grid, "sin_bump"),
+                           coefficient_field(grid, "fourier:0,0,1e4"))
+        accepted = []
+        real = solver.newton_solve
+
+        def recorded(*args):
+            try:
+                result = real(*args)
+            except SolverError:
+                accepted.append(False)
+                raise
+            accepted.append(True)
+            return result
+        monkeypatch.setattr(solver, "newton_solve", recorded)
+        path = continuation_run(models)
+        assert path.reached_one and path.lambdas[-1] == 1.0
+        assert not all(accepted)
+        state = path.final_state
+        assert np.min(state.m) < 1e-3
+        assert abs(grid.integrate(state.m) - 1.0) <= 1e-10
+
+        lin = linearize(state, models)
+        jac = assemble_jacobian(lin)
+        n = grid.npoints
+        rng = np.random.default_rng(3)
+        for _ in range(8):
+            v, f = rng.standard_normal(n), rng.standard_normal(n)
+            value = bilinear_form(lin, v, f)
+            jw = jac @ np.concatenate([v, f])
+            quad = grid.integrate(jw[:n] * f - jw[n:] * v)  # h (Pw).(Jw)
+            assert value < 0.0
+            assert abs(value - quad) <= 1e-12 * abs(quad)
+
     @pytest.mark.parametrize("step_min", [0.0, -1e-4, 1.5])
     def test_step_min_outside_unit_interval_rejected(self, step_min):
         with pytest.raises(ValueError, match="step_min"):
@@ -727,7 +768,7 @@ class TestTwoLevel:
         models = default_models(self.FINE)
         state = MFGState(self.FINE, u, m, 1.0)
         res = residual(state, models)
-        matrix = assemble_jacobian(state, models, res.lin)
+        matrix = assemble_jacobian(res.lin)
         cycle = two_grid_cycle(matrix, linear.factor.solve, self.FINE, coarse)
         rng = np.random.default_rng(14)
         for r in [-res.stack(), rng.standard_normal(2 * self.FINE.npoints)]:

@@ -1,4 +1,4 @@
-"""Residual, Jacobian, swap map, and bilinear form of the coupled system."""
+"""Residual, Jacobian, and bilinear form of the coupled system."""
 
 import math
 
@@ -10,8 +10,7 @@ from scipy.optimize import brentq
 from helpers import default_models, smooth_field, smooth_positive_density
 from mfglab.grid import TorusGrid
 from mfglab.hamiltonian import conjugate_exponent
-from mfglab.system import (MFGState, PerturbationPair, apply_linearized,
-                           apply_swap, assemble_jacobian, bilinear_form,
+from mfglab.system import (MFGState, assemble_jacobian, bilinear_form,
                            jacobian_template, linearize, residual)
 
 
@@ -108,6 +107,19 @@ def reference_jacobian(state, models):
     return sp.bmat([[duu, dum], [dmu, dmm]], format="csr")
 
 
+def stencil_action(lin, v, f):
+    """The linearized operator applied to w = (v, f) through the grid's
+    gradient, divergence and Laplacian, without the sparse template."""
+    grid = lin.grid
+    Dv = grid.gradient(v)
+    row1 = (v - grid.laplacian(v) + lin.density_coupling * f
+            + np.einsum("ki,ki->k", lin.ev.DpH, Dv))
+    flux = (lin.W * f[:, None]
+            + lin.m_scale[:, None] * np.einsum("kij,kj->ki", lin.ev.DppH, Dv))
+    row2 = f - grid.laplacian(f) - grid.divergence(flux)
+    return row1, row2
+
+
 class TestResidual:
     def test_trivial_solution_is_exact_root(self):
         grid = TorusGrid(1, 128)
@@ -178,7 +190,7 @@ class TestJacobian:
         grid = TorusGrid(1, 64)
         models = default_models(grid)  # alpha = 1, gamma = 1.25
         state = models.trivial_state()
-        jac = assemble_jacobian(state, models)
+        jac = assemble_jacobian(linearize(state, models))
         rng = np.random.default_rng(31)
         v = rng.standard_normal(grid.npoints)
         f = rng.standard_normal(grid.npoints)
@@ -198,7 +210,7 @@ class TestJacobian:
             state = MFGState(grid, smooth_field(grid, rng, 0.5),
                              smooth_positive_density(grid, rng),
                              rng.uniform(0.0, 1.0))
-            jac = assemble_jacobian(state, models)
+            jac = assemble_jacobian(linearize(state, models))
             w = np.concatenate([smooth_field(grid, rng), smooth_field(grid, rng)])
             t = 1e-6
             plus = MFGState(grid, state.u + t * w[:n], state.m + t * w[n:], state.lam)
@@ -214,13 +226,14 @@ class TestJacobian:
         rng = np.random.default_rng(5)
         state = MFGState(grid, smooth_field(grid, rng, 0.5),
                          smooth_positive_density(grid, rng), 0.7)
-        jac = assemble_jacobian(state, models)
-        w = PerturbationPair(rng.standard_normal(grid.npoints),
-                             rng.standard_normal(grid.npoints))
-        action = apply_linearized(state, models, w)
-        out = jac @ w.stack()
-        assert np.max(np.abs(out[:grid.npoints] - action.v)) < 1e-11
-        assert np.max(np.abs(out[grid.npoints:] - action.f)) < 1e-11
+        lin = linearize(state, models)
+        jac = assemble_jacobian(lin)
+        v = rng.standard_normal(grid.npoints)
+        f = rng.standard_normal(grid.npoints)
+        row1, row2 = stencil_action(lin, v, f)
+        out = jac @ np.concatenate([v, f])
+        assert np.max(np.abs(out[:grid.npoints] - row1)) < 1e-11
+        assert np.max(np.abs(out[grid.npoints:] - row2)) < 1e-11
 
     @pytest.mark.parametrize("grid", [TorusGrid(1, 32), TorusGrid(2, 12)])
     def test_diffusion_part_of_diagonal_blocks_symmetric(self, grid):
@@ -228,7 +241,8 @@ class TestJacobian:
         _, _, lap = grid_operator_matrices(grid)
         assert abs(lap - lap.T).max() == 0.0
         models = default_models(grid)
-        jac = assemble_jacobian(models.trivial_state(), models).tocsc()
+        jac = assemble_jacobian(linearize(models.trivial_state(), models))
+        jac = jac.tocsc()
         n = grid.npoints
         duu = jac[:n, :n]
         # at the trivial state the advection coefficient vanishes, so the
@@ -243,7 +257,7 @@ class TestJacobian:
         rng = np.random.default_rng(3)
         state = MFGState(grid, smooth_field(grid, rng, 0.5),
                          smooth_positive_density(grid, rng), 0.8)
-        jac = assemble_jacobian(state, models)
+        jac = assemble_jacobian(linearize(state, models))
         n = grid.npoints
         w = np.concatenate([smooth_field(grid, rng), smooth_field(grid, rng)])
         out = jac @ w
@@ -268,7 +282,7 @@ class TestJacobianTemplate:
         state = self.random_state(grid, lam)
         if grid.d == 2:  # the fields vary along x2: cross Hessian entries live
             assert np.max(np.abs(linearize(state, models).ev.DppH[:, 0, 1])) > 1e-3
-        jac = assemble_jacobian(state, models)
+        jac = assemble_jacobian(linearize(state, models))
         ref = reference_jacobian(state, models).toarray()
         rows = np.repeat(np.arange(jac.shape[0]), np.diff(jac.indptr))
         on_pattern = np.zeros(ref.shape, dtype=bool)
@@ -284,9 +298,10 @@ class TestJacobianTemplate:
     @pytest.mark.parametrize("grid", [TorusGrid(1, 16), TorusGrid(2, 8)])
     def test_pattern_independent_of_state(self, grid):
         models = default_models(grid)
-        trivial = assemble_jacobian(models.trivial_state(), models)
+        trivial = assemble_jacobian(linearize(models.trivial_state(), models))
         for lam in (0.3, 1.0):
-            jac = assemble_jacobian(self.random_state(grid, lam), models)
+            state = self.random_state(grid, lam)
+            jac = assemble_jacobian(linearize(state, models))
             assert np.array_equal(jac.indptr, trivial.indptr)
             assert np.array_equal(jac.indices, trivial.indices)
         if grid.d == 2:  # the trivial state's zero cross Hessian stays as zeros
@@ -297,8 +312,10 @@ class TestJacobianTemplate:
         assert grid_a is not grid_b
         assert jacobian_template(grid_a) is jacobian_template(grid_b)
         models = default_models(grid_a)
-        jac_a = assemble_jacobian(self.random_state(grid_a, 0.4), models)
-        jac_b = assemble_jacobian(self.random_state(grid_b, 0.9), models)
+        state_a = self.random_state(grid_a, 0.4)
+        state_b = self.random_state(grid_b, 0.9)
+        jac_a = assemble_jacobian(linearize(state_a, models))
+        jac_b = assemble_jacobian(linearize(state_b, models))
         assert np.shares_memory(jac_a.indices, jac_b.indices)
         assert np.shares_memory(jac_a.indptr, jac_b.indptr)
 
@@ -306,40 +323,20 @@ class TestJacobianTemplate:
     def test_residual_linearization_gives_same_matrix(self, grid):
         models = default_models(grid, alpha=0.5)
         state = self.random_state(grid, 0.7)
-        res = residual(state, models)
-        carried = assemble_jacobian(state, models, res.lin)
-        fresh = assemble_jacobian(state, models)
+        carried = assemble_jacobian(residual(state, models).lin)
+        fresh = assemble_jacobian(linearize(state, models))
         assert np.array_equal(carried.data, fresh.data)
         assert np.array_equal(carried.indices, fresh.indices)
         assert np.array_equal(carried.indptr, fresh.indptr)
 
 
-class TestSwapAndBilinear:
-    def test_swap_definition(self):
-        w = PerturbationPair(np.array([1.0]), np.array([0.0]))
-        pw = apply_swap(w)
-        assert pw.v[0] == 0.0 and pw.f[0] == -1.0
-
-    def test_swap_squares_to_minus_identity(self):
-        rng = np.random.default_rng(8)
-        w = PerturbationPair(rng.standard_normal(16), rng.standard_normal(16))
-        ww = apply_swap(apply_swap(w))
-        assert np.array_equal(ww.v, -w.v) and np.array_equal(ww.f, -w.f)
-
-    def test_swap_antisymmetry(self):
-        grid = TorusGrid(1, 32)
-        rng = np.random.default_rng(9)
-        w = PerturbationPair(rng.standard_normal(grid.npoints),
-                             rng.standard_normal(grid.npoints))
-        pw = apply_swap(w)
-        assert abs(grid.integrate(w.v * pw.v + w.f * pw.f)) < 1e-14
-
+class TestBilinearForm:
     def test_constant_value_perturbation_annihilated(self):
         grid = TorusGrid(1, 32)
         models = default_models(grid)
-        state = models.trivial_state()
-        w = PerturbationPair(np.full(grid.npoints, 2.5), np.zeros(grid.npoints))
-        assert abs(bilinear_form(w, w, state, models)) < 1e-13
+        lin = linearize(models.trivial_state(), models)
+        v, f = np.full(grid.npoints, 2.5), np.zeros(grid.npoints)
+        assert abs(bilinear_form(lin, v, f)) < 1e-13
 
     def test_two_path_consistency_with_matrix(self):
         grid = TorusGrid(2, 12)
@@ -347,31 +344,72 @@ class TestSwapAndBilinear:
         rng = np.random.default_rng(12)
         state = MFGState(grid, smooth_field(grid, rng, 0.5),
                          smooth_positive_density(grid, rng), 0.9)
-        jac = assemble_jacobian(state, models)
+        lin = linearize(state, models)
+        jac = assemble_jacobian(lin)
+        n = grid.npoints
         for _ in range(5):
-            w1 = PerturbationPair(rng.standard_normal(grid.npoints),
-                                  rng.standard_normal(grid.npoints))
-            w2 = PerturbationPair(rng.standard_normal(grid.npoints),
-                                  rng.standard_normal(grid.npoints))
-            direct = bilinear_form(w1, w2, state, models)
-            jw = jac @ w1.stack()
-            pw = apply_swap(w2)
-            quad = grid.integrate(jw[:grid.npoints] * pw.v
-                                  + jw[grid.npoints:] * pw.f)
+            v, f = rng.standard_normal(n), rng.standard_normal(n)
+            direct = bilinear_form(lin, v, f)
+            jw = jac @ np.concatenate([v, f])
+            # integrate( Jw . (f, -v) )
+            quad = grid.integrate(jw[:n] * f - jw[n:] * v)
             assert abs(direct - quad) < 1e-12 * max(1.0, abs(direct))
 
+    def test_two_path_consistency_with_matrix_1d(self):
+        grid = TorusGrid(1, 32)
+        models = default_models(grid, alpha=0.5)
+        rng = np.random.default_rng(13)
+        state = MFGState(grid, smooth_field(grid, rng, 0.5),
+                         smooth_positive_density(grid, rng), 0.6)
+        lin = linearize(state, models)
+        assert np.max(np.abs(lin.ev.DpH - lin.W)) > 1e-3  # transport term live
+        jac = assemble_jacobian(lin)
+        n = grid.npoints
+        for _ in range(5):
+            v, f = rng.standard_normal(n), rng.standard_normal(n)
+            direct = bilinear_form(lin, v, f)
+            jw = jac @ np.concatenate([v, f])
+            quad = grid.integrate(jw[:n] * f - jw[n:] * v)
+            assert abs(direct - quad) < 1e-12 * max(1.0, abs(direct))
+
+    def test_density_only_perturbation_reads_coupling(self):
+        # with v = 0 only the c f^2 term is left
+        grid = TorusGrid(2, 12)
+        models = default_models(grid)
+        rng = np.random.default_rng(17)
+        state = MFGState(grid, smooth_field(grid, rng, 0.5),
+                         smooth_positive_density(grid, rng), 0.8)
+        lin = linearize(state, models)
+        f = rng.standard_normal(grid.npoints)
+        expected = grid.integrate(lin.density_coupling * f * f)
+        got = bilinear_form(lin, np.zeros(grid.npoints), f)
+        assert abs(got - expected) < 1e-13 * abs(expected)
+
+    def test_value_shift_by_constant_leaves_form(self):
+        grid = TorusGrid(2, 12)
+        models = default_models(grid, alpha=0.5)
+        rng = np.random.default_rng(23)
+        state = MFGState(grid, smooth_field(grid, rng, 0.5),
+                         smooth_positive_density(grid, rng), 0.5)
+        lin = linearize(state, models)
+        v = rng.standard_normal(grid.npoints)
+        f = rng.standard_normal(grid.npoints)
+        base = bilinear_form(lin, v, f)
+        assert abs(bilinear_form(lin, v + 3.0, f) - base) < 1e-12 * abs(base)
+
     def test_passed_linearization_gives_same_value(self):
+        # the linearization the residual carries gives the form linearize gives
         grid = TorusGrid(2, 12)
         models = default_models(grid)
         rng = np.random.default_rng(19)
         state = MFGState(grid, smooth_field(grid, rng, 0.5),
                          smooth_positive_density(grid, rng), 1.0)
-        lin = linearize(state, models)
+        carried = residual(state, models).lin
+        fresh = linearize(state, models)
         for _ in range(3):
-            w = PerturbationPair(rng.standard_normal(grid.npoints),
-                                 rng.standard_normal(grid.npoints))
-            assert bilinear_form(w, w, state, models, lin) \
-                == bilinear_form(w, w, state, models)
+            v = rng.standard_normal(grid.npoints)
+            f = rng.standard_normal(grid.npoints)
+            assert bilinear_form(carried, v, f) == bilinear_form(fresh, v, f)
 
 
 class TestState:
