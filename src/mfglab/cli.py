@@ -229,8 +229,7 @@ def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
                 path = continuation_run(models, tol, step_min)
                 row["reached_one"] = path.reached_one
                 row["iters_total"] = path.total_iters
-                if path.steps:
-                    row["min_m"] = min(s.min_m for s in path.steps)
+                row["min_m"] = min(s.min_m for s in path.steps)
                 if path.reached_one:
                     row["energy_residual"] = energy_identity(
                         path.final_state, models)[2]
@@ -249,12 +248,15 @@ def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
     return EXIT_OK
 
 
-def _float_list(text: str) -> list[float]:
-    toks = [t for t in text.split(",") if t.strip()]
-    values = [float(t) for t in toks]
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite value {v!r} in {text!r}")
+def _float_list(text: str | None) -> list[float]:
+    """The values of a comma-separated `--gamma` or `--alpha` list."""
+    try:
+        values = [float(t) for t in (text or "").split(",") if t.strip()]
+        for v in values:
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite value {v!r} in {text!r}")
+    except ValueError as exc:
+        raise ConfigError(f"bad sweep list: {exc}") from exc
     return values
 
 
@@ -281,11 +283,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         validate_config(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.command == "solve":
             return cmd_solve(cfg, args.out, args.override_admissibility)
         if args.command == "audit":
@@ -293,22 +290,14 @@ def main(argv=None) -> int:
         if args.command == "validate":
             fields_dir = args.fields or cfg.output_dir
             return cmd_validate(cfg, fields_dir, args.out)
-        if args.command == "sweep":
-            try:
-                gammas = _float_list(args.gamma) if args.gamma else []
-                alphas = _float_list(args.alpha) if args.alpha else []
-            except ValueError as exc:
-                print(f"config error: bad sweep list: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-            return cmd_sweep(cfg, gammas, alphas, args.out,
-                             args.override_admissibility)
+        return cmd_sweep(cfg, _float_list(args.gamma), _float_list(args.alpha),
+                         args.out, args.override_admissibility)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

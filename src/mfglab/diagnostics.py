@@ -85,8 +85,7 @@ SURROGATE_P = 16.0
 
 def estimate_suite(state: MFGState, models: MFGModels) -> DiagnosticsReport:
     """Evaluate every reported estimate quantity on the state."""
-    if np.min(state.m) <= 0.0:
-        raise ValueError("density must be strictly positive on the grid")
+    lhs, rhs, resid = energy_identity(state, models)  # checks m > 0
     grid = state.grid
     u, m = state.u, state.m
     alpha, gamma = models.alpha, models.gamma
@@ -97,8 +96,6 @@ def estimate_suite(state: MFGState, models: MFGModels) -> DiagnosticsReport:
     du_mag = np.linalg.norm(Du, axis=1)
     Dm = grid.gradient4(m)
     dm_mag = np.linalg.norm(Dm, axis=1)
-
-    lhs, rhs, resid = energy_identity(state, models)
 
     weighted = tuple(
         (float(beta), grid.integrate(du_mag**gamma * m**beta))

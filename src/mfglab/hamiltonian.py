@@ -402,7 +402,6 @@ class AssumptionCheck:
     statement: str
     passed: bool
     constants: dict
-    detail: str = ""
 
 
 @dataclass(frozen=True)

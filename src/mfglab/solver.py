@@ -5,7 +5,8 @@ follows solutions to lam = 1: a zeroth-order predictor (the previous
 solution) feeds a damped Newton corrector at each step.  The first
 attempt covers the whole interval; a rejected attempt halves the lam
 increment and an accepted one doubles it (step-length bisection, as in
-Allgower & Georg, Numerical Continuation Methods, 1990).  Density
+Allgower & Georg, Numerical Continuation Methods, 1990), down to
+`continuation.step_min`, below which the run stops short.  Density
 positivity is enforced inside the line search, never by projecting m.
 
 Each Newton system J delta = -F is solved by one linear solver type,
@@ -75,7 +76,7 @@ entries against 1.48M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -91,7 +92,6 @@ from .system import (JacobianTemplate, MFGModels, MFGState,
 
 REACHED_ONE = "reached_one"
 STEP_UNDERFLOW = "step_underflow"
-NEWTON_DIVERGENCE = "newton_divergence"
 
 MAX_NEWTON_ITERS = 30
 EPS = np.finfo(float).eps
@@ -166,13 +166,20 @@ class NewtonResult:
 
 @dataclass
 class SolvePath:
-    steps: list[NewtonResult] = field(default_factory=list)
-    status: str = REACHED_ONE
-    reason: str = ""  # message of the last rejected corrector attempt
+    """The accepted steps of a continuation run from its lam = 0 state,
+    and the message of its last rejected corrector attempt (`reason`).
+    """
+
+    steps: list[NewtonResult]
+    reason: str = ""
 
     @property
     def reached_one(self) -> bool:
-        return self.status == REACHED_ONE
+        return self.steps[-1].lam == 1.0
+
+    @property
+    def status(self) -> str:
+        return REACHED_ONE if self.reached_one else STEP_UNDERFLOW
 
     @property
     def lambdas(self) -> list[float]:
@@ -532,9 +539,10 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
     min(m + t delta_m) above max(MIN_M_FLOOR, 0.1 min m) and reduces the
     sup-norm residual.
 
-    The solve converges once the sup-norm residual is below
-    max(tol, `residual_floor(state)`), the rounding floor of the current
-    state, and fails after MAX_NEWTON_ITERS iterations.
+    The solve converges once the sup-norm residual, tested at the start
+    and after each of at most MAX_NEWTON_ITERS iterations, is below
+    max(tol, `residual_floor(state)`), the rounding floor of the state;
+    it raises NewtonDivergenceError if it does not, or if no t is accepted.
     """
     if float(np.min(init.m)) <= MIN_M_FLOOR:
         raise ValueError("initial density at or below the positivity floor")
@@ -545,18 +553,19 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
     rnorm = res.sup_norm
     history = [rnorm]
 
-    for it in range(MAX_NEWTON_ITERS):
+    for it in range(MAX_NEWTON_ITERS + 1):
         if rnorm < tol or rnorm < residual_floor(state):
             return NewtonResult(state, it, rnorm, history)
+        if it == MAX_NEWTON_ITERS:
+            break
         jac = assemble_jacobian(res.lin)
         delta = linear.solve(jac, -res.stack())
         n = state.grid.npoints
         du, dm = delta[:n], delta[n:]
 
         m_guard = max(MIN_M_FLOOR, 0.1 * float(np.min(state.m)))
-        t = 1.0
-        accepted = False
-        for _ in range(MAX_BACKTRACKS + 1):
+        for k in range(MAX_BACKTRACKS + 1):
+            t = BACKTRACK_FACTOR**k
             m_trial = state.m + t * dm
             if float(np.min(m_trial)) > m_guard:
                 trial = MFGState(state.grid, state.u + t * du, m_trial, lam)
@@ -564,15 +573,11 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
                 if res_trial.sup_norm < rnorm:
                     state, res, rnorm = trial, res_trial, res_trial.sup_norm
                     history.append(rnorm)
-                    accepted = True
                     break
-            t *= BACKTRACK_FACTOR
-        if not accepted:
+        else:
             raise NewtonDivergenceError(
                 f"line search stalled at lambda={lam:.6g} (residual {rnorm:.3e})")
 
-    if rnorm < tol or rnorm < residual_floor(state):
-        return NewtonResult(state, MAX_NEWTON_ITERS, rnorm, history)
     raise NewtonDivergenceError(
         f"no convergence in {MAX_NEWTON_ITERS} iterations at lambda={lam:.6g} "
         f"(residual {rnorm:.3e})")
@@ -585,14 +590,12 @@ def continuation_run(models: MFGModels, tol: float = RunConfig.newton_tol,
 
     The first attempt targets lam = 1 directly.  Each attempt goes from
     the last accepted lam to min(1, lam + step); a rejected attempt
-    halves the length it tried, an accepted one doubles the step.
+    halves the length it tried, an accepted one doubles the step, and
+    the run stops short once the halved length is below `step_min`.
 
-    Returns a SolvePath whose status is reached_one on success,
-    step_underflow when the halved step falls below `step_min`, or
-    newton_divergence when the corrector fails on a step already at most
-    `step_min` (no adaptation left to spend); failures are carried in
-    the status and the message of the last one in `reason`, never
-    raised.  One LaggedLU serves every corrector call on one grid.
+    Returns a SolvePath, whose status says whether it reached lam = 1; a
+    corrector failure is carried in its `reason`, never raised.  One
+    LaggedLU serves every corrector call on one grid.
 
     2D grids with even n and n / 2 >= TWO_LEVEL_MIN_COARSE_N are first
     tried by `two_level_run`; if that falls back (returns None), the
@@ -660,32 +663,24 @@ def _continue(models: MFGModels, tol: float, step_min: float,
     """The continuation of `continuation_run` on the models' own grid."""
     state = models.trivial_state()
     rnorm = residual(state, models).sup_norm
-    path = SolvePath()
-    path.steps.append(NewtonResult(state, 0, rnorm, [rnorm]))
+    path = SolvePath([NewtonResult(state, 0, rnorm, [rnorm])])
     if log is not None:
         log(path.steps[-1].log_line())
 
-    lam, step = 0.0, 1.0
-    while lam < 1.0:
-        target = min(1.0, lam + step)
+    step = 1.0
+    while not path.reached_one:
+        last = path.steps[-1]
+        target = min(1.0, last.lam + step)
         try:
-            result = newton_solve(state, target, models, tol, linear)
+            result = newton_solve(last.state, target, models, tol, linear)
         except SolverError as exc:
             path.reason = str(exc)
-            step = target - lam
-            if step <= step_min:
-                path.status = NEWTON_DIVERGENCE
-                return path
-            step *= 0.5
+            step = 0.5 * (target - last.lam)
             if step < step_min:
-                path.status = STEP_UNDERFLOW
                 return path
             continue
-        state = result.state
-        lam = target
         path.steps.append(result)
         if log is not None:
-            log(path.steps[-1].log_line())
+            log(result.log_line())
         step *= 2.0
-    path.status = REACHED_ONE
     return path

@@ -13,6 +13,13 @@ def default_models(grid: TorusGrid, gamma: float = 1.25,
                      coefficient_field(grid, "cos_bump"))
 
 
+def low_density_models(grid: TorusGrid) -> MFGModels:
+    """Data under which the density nearly vanishes: default a,
+    b = 1e4 cos(2 pi x1), gamma = 1.9, alpha = 0.02."""
+    return MFGModels(grid, 0.02, 1.9, coefficient_field(grid, "sin_bump"),
+                     coefficient_field(grid, "fourier:0,0,1e4"))
+
+
 def two_dimensional_models(grid: TorusGrid) -> MFGModels:
     """Problem data that varies along both axes (2D grids):
 

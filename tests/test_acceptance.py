@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (default_models, smooth_field, smooth_positive_density,
-                     two_dimensional_models)
+from helpers import (default_models, low_density_models, smooth_field,
+                     smooth_positive_density, two_dimensional_models)
 from mfglab.diagnostics import energy_identity, estimate_suite
 from mfglab.grid import TorusGrid
 from mfglab.hamiltonian import (check_parameter_admissibility, conjugate_exponent,
@@ -280,3 +280,30 @@ def test_criterion_11_two_dimensional_energy_identity_convergence():
     report(11, "2D energy identity convergence, data varying along x2", ok,
            f"residual n=128 {residuals[128]:.3e}, n=64/n=128 ratio "
            f"{ratio:.3f}, max x2-variation of u {variation:.3e}")
+
+
+def test_criterion_12_low_density_refinement():
+    # b = 1e4 cos(2 pi x1), gamma = 1.9, alpha = 0.02: the density nearly
+    # vanishes, and the paper's estimates must still hold uniformly in h
+    residuals, moments, worst_min_m, worst_mass = {}, {}, 0.0, 0.0
+    for n in (256, 512, 1024):
+        grid = TorusGrid(1, n)
+        models = low_density_models(grid)
+        path = continuation_run(models)
+        assert path.reached_one, f"n={n}: {path.status}: {path.reason}"
+        state = path.final_state
+        diag = estimate_suite(state, models)
+        residuals[n] = diag.energy_identity_residual
+        moments[n] = dict(diag.inverse_moments)[8.0]
+        worst_min_m = max(worst_min_m, float(np.min(state.m)))
+        worst_mass = max(worst_mass, abs(diag.mass - 1.0))
+    ratios = (residuals[256] / residuals[512], residuals[512] / residuals[1024])
+    drifts = (abs(moments[512] / moments[256] - 1.0),
+              abs(moments[1024] / moments[512] - 1.0))
+    ok = (worst_min_m < 1e-3 and worst_mass <= 1e-10
+          and all(3.2 <= r <= 4.8 for r in ratios)
+          and all(d <= 0.01 for d in drifts))
+    report(12, "low-density energy identity and inverse moments, 1D", ok,
+           f"max min_m {worst_min_m:.3e}, max |mass - 1| {worst_mass:.3e}, "
+           f"ratios {ratios[0]:.3f} {ratios[1]:.3f}, ||1/m||_L8 "
+           f"{moments[256]:.5g} {moments[512]:.5g} {moments[1024]:.5g}")

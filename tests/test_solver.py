@@ -8,18 +8,18 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
-from helpers import default_models, smooth_field, two_dimensional_models
+from helpers import (default_models, low_density_models, smooth_field,
+                     two_dimensional_models)
 from mfglab import solver, system
 from mfglab.grid import TorusGrid
-from mfglab.hamiltonian import coefficient_field
 from mfglab.solver import (BandLU, LaggedLU, NewtonDivergenceError,
                            SingularSystemError, SolverError, backward_error,
                            band_layout, continuation_run, fourier_resample,
                            gmres, newton_solve, normwise_backward_error,
                            residual_floor, solve_direct, transfer_matrix,
                            two_grid_cycle)
-from mfglab.system import (MFGModels, MFGState, assemble_jacobian,
-                           bilinear_form, linearize, residual)
+from mfglab.system import (MFGState, assemble_jacobian, bilinear_form,
+                           linearize, residual)
 
 
 def count_factorizations(monkeypatch, band_calls: list | None = None) -> list:
@@ -410,6 +410,22 @@ class TestNewton:
         with pytest.raises(NewtonDivergenceError):
             newton_solve(init, 0.5, models)
 
+    def test_converges_on_the_last_allowed_iteration(self, monkeypatch):
+        # the default 1D n = 64 solve at lam = 1 takes 3 iterations: with a
+        # budget of 3 the convergence test after the last one accepts it
+        models = default_models(TorusGrid(1, 64))
+        full = newton_solve(models.trivial_state(), 1.0, models)
+        assert full.iters == 3
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 3)
+        last = newton_solve(models.trivial_state(), 1.0, models)
+        assert last.iters == 3
+        assert last.residual_norm == full.residual_norm
+        assert last.history == full.history
+        monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
+        with pytest.raises(NewtonDivergenceError,
+                           match="no convergence in 2 iterations"):
+            newton_solve(models.trivial_state(), 1.0, models)
+
     @pytest.mark.parametrize("grid", [TorusGrid(1, 128), TorusGrid(2, 32)])
     def test_rounding_floor_of_a_state(self, grid):
         state = default_models(grid).trivial_state()  # u = -(1 + pi / 4), m = 1
@@ -475,14 +491,39 @@ class TestContinuation:
         assert path.lambdas == [0.0]  # retains the last successful weight
         assert path.reason.startswith("no convergence in 1 iterations")
 
-    def test_fixed_step_failure_reports_divergence(self, monkeypatch):
-        # with no step adaptation available, the corrector is the blocker
+    def test_fixed_step_failure_reports_step_underflow(self, monkeypatch):
+        # a failed step already at step_min stops the run like any other
+        # halving below step_min
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
         grid = TorusGrid(1, 32)
         models = default_models(grid)
         path = continuation_run(models, step_min=1.0)
-        assert path.status == "newton_divergence"
+        assert path.status == "step_underflow"
         assert path.lambdas == [0.0]
+        assert path.reason.startswith("no convergence in 1 iterations")
+
+    @pytest.mark.parametrize("kind", ["reached", "two_level", "fallback",
+                                      "stopped"])
+    def test_status_is_read_off_the_last_step(self, kind, monkeypatch):
+        grid = TorusGrid(2, 64) if kind in ("two_level", "fallback") \
+            else TorusGrid(1, 32)
+        real = solver.newton_solve
+
+        def fine_solve_fails(init, lam, *args):
+            if init.grid.n == 64 and init.lam == 1.0:
+                raise NewtonDivergenceError("forced failure")
+            return real(init, lam, *args)
+        if kind == "fallback":
+            monkeypatch.setattr(solver, "newton_solve", fine_solve_fails)
+        if kind == "stopped":
+            monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
+        path = continuation_run(default_models(grid))
+        assert [s.n for s in path.steps] == {
+            "reached": [32, 32], "two_level": [32, 32, 64],
+            "fallback": [64, 64], "stopped": [32]}[kind]
+        assert path.reached_one == (kind != "stopped")
+        assert path.status == ("reached_one" if path.steps[-1].lam == 1.0
+                               else "step_underflow")
 
     @pytest.mark.parametrize("grid", [TorusGrid(1, 64), TorusGrid(2, 16),
                                       TorusGrid(2, 32)])
@@ -513,9 +554,7 @@ class TestContinuation:
         density nearly vanishes, the path needs rejected attempts, and the
         pointwise monotonicity form agrees with the assembled Jacobian."""
         grid = TorusGrid(1, 256)
-        models = MFGModels(grid, 0.02, 1.9,
-                           coefficient_field(grid, "sin_bump"),
-                           coefficient_field(grid, "fourier:0,0,1e4"))
+        models = low_density_models(grid)
         accepted = []
         real = solver.newton_solve
 
