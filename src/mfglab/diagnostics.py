@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .grid import pointwise_dot
 from .system import MFGModels, MFGState
 
 
@@ -66,12 +67,13 @@ def energy_identity(state: MFGState, models: MFGModels):
     if np.min(state.m) <= 0.0:
         raise ValueError("density must be strictly positive on the grid")
     grid = state.grid
-    Du = grid.gradient4(state.u)
     ma = state.m**models.alpha
-    Q = Du / ma[:, None]
+    Q = grid.gradient4(state.u)
+    for i in range(grid.d):
+        Q[:, i] /= ma
     ev = models.hamiltonian(Q, state.lam)
     V, _ = models.potential(state.m, state.lam)
-    q_dot = np.einsum("ki,ki->k", Q, ev.DpH)
+    q_dot = pointwise_dot(Q, ev.DpH)
     lhs = grid.integrate(state.m * ma * (ev.H - q_dot))
     rhs = grid.integrate(ma * ev.H + (1.0 - state.m) * V)
     return lhs, rhs, abs(lhs - rhs)
@@ -93,9 +95,9 @@ def estimate_suite(state: MFGState, models: MFGModels) -> DiagnosticsReport:
     delta = 2.0 * alpha_bar / (2.0 - gamma)
 
     Du = grid.gradient4(u)
-    du_mag = np.linalg.norm(Du, axis=1)
+    du_mag = np.sqrt(pointwise_dot(Du, Du))
     Dm = grid.gradient4(m)
-    dm_mag = np.linalg.norm(Dm, axis=1)
+    dm_mag = np.sqrt(pointwise_dot(Dm, Dm))
 
     weighted = tuple(
         (float(beta), grid.integrate(du_mag**gamma * m**beta))
@@ -104,19 +106,20 @@ def estimate_suite(state: MFGState, models: MFGModels) -> DiagnosticsReport:
     # gradients of the pointwise-powered field, not chain rule on Dm
     g_sob = grid.gradient4(m ** (0.5 * (1.0 + alpha)))
     sobolev = (grid.integrate(m ** (1.0 + alpha)),
-               grid.integrate(np.sum(g_sob**2, axis=1)))
+               grid.integrate(pointwise_dot(g_sob, g_sob)))
     g_ent = grid.gradient4(np.sqrt(m))
     entropy = (grid.integrate(m * np.log(m)),
-               grid.integrate(np.sum(g_ent**2, axis=1)))
+               grid.integrate(pointwise_dot(g_ent, g_ent)))
 
-    inverse = tuple((float(r), grid.lp_norm(1.0 / m, r))
+    inv_m = 1.0 / m
+    inverse = tuple((float(r), grid.lp_norm(inv_m, r))
                     for r in INVERSE_MOMENT_ORDERS)
 
     sup_norms = {
         "u": grid.lp_norm(u, math.inf),
         "du": float(np.max(du_mag)),
         "m": grid.lp_norm(m, math.inf),
-        "inv_m": grid.lp_norm(1.0 / m, math.inf),
+        "inv_m": grid.lp_norm(inv_m, math.inf),
         "dm": float(np.max(dm_mag)),
     }
 

@@ -52,6 +52,30 @@ def _shift(box: np.ndarray, k: int, axis: int) -> np.ndarray:
                            box[lead + (slice(None, cut),)]), axis=axis)
 
 
+def pointwise_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x.y at every point of two vector fields, (N, d) x (N, d) -> (N,).
+
+    Summed axis by axis from length-N columns, in axis order; for d <= 2
+    these are the bits of np.einsum("ki,ki->k", x, y).
+    """
+    out = x[:, 0] * y[:, 0]
+    for ax in range(1, x.shape[1]):
+        out += x[:, ax] * y[:, ax]
+    out += 0.0  # einsum sums from +0.0, so its sum is never -0.0
+    return out
+
+
+def pointwise_form(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x.A x at every point, (N, d) and (N, d, d) -> (N,).
+
+    The terms x_i A_ij x_j are summed from +0.0 in row-major (i, j)
+    order; for d <= 2 these are the bits of
+    np.einsum("ki,kij,kj->k", x, a, x).
+    """
+    d = x.shape[1]
+    return sum(x[:, i] * a[:, i, j] * x[:, j] for i in range(d) for j in range(d))
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Periodic lattice {(i_1 h, ..., i_d h)} on the unit torus."""
@@ -246,6 +270,6 @@ def read_field_csv(path, grid: TorusGrid | None = None) -> ScalarField:
             f"{path}: {rows.shape[0]} rows of dimension {d} do not match "
             f"a {grid.d}D grid with n={grid.n}"
         )
-    if not np.allclose(rows[:, :d], grid.coords(), rtol=0.0, atol=1e-12):
+    if not np.abs(rows[:, :d] - grid.coords()).max() <= 1e-12:  # rows are finite
         raise ValueError(f"{path}: coordinates are not a row-major unit-torus lattice")
     return ScalarField(grid, rows[:, d])

@@ -33,6 +33,13 @@ The potential blends V(x,m) = b(x) - arctan(m) against a pure arctan(m)
 leg: V_lam = lam * V + (1 - lam) * arctan(m).  At lam = 1 it is the
 paper's V, which decreases in m; the lam < 1 leg only starts the
 homotopy.
+
+Momenta come as (N, d) arrays.  No per-point code broadcasts over a
+length-d axis or calls einsum: numpy would then run its inner loops d
+or d^2 elements at a time.  Each component DpH[:, i] or DppH[:, i, j]
+is computed from length-N vectors instead, in the operation order of
+the formulas above, and |p| is the square root of the sum of squares
+(`grid.pointwise_dot`).
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TorusGrid
+from .grid import TorusGrid, pointwise_dot, pointwise_form
 
 _EPS = np.finfo(float).eps
 
@@ -94,6 +101,24 @@ def _speed_start(p, a, gp):
     return np.minimum(x, x ** (1.0 / (gp - 1.0)))
 
 
+# a bracket lo < hi of adjacent floats has hi - lo <= _EPS * hi where hi
+# is normal, so lo >= hi * _CLOSE_FACTOR holds after rounding too
+_CLOSE_FACTOR = 1.0 - 4.0 * _EPS
+_TINY = np.finfo(float).tiny  # least normal float
+
+
+def _bracket_may_be_closed(lo, hi):
+    """Indices where nextafter(lo, hi) >= hi may hold, and a few more.
+
+    For hi > 0 the test holds where lo >= hi or where hi is the float
+    after lo; then lo >= hi * _CLOSE_FACTOR or hi <= _TINY, so the
+    indices returned are a superset of those where it holds.  No
+    subnormal constant enters the arithmetic, where it would take the
+    processor's slow path on every element.
+    """
+    return np.flatnonzero((lo >= hi * _CLOSE_FACTOR) | (hi <= _TINY))
+
+
 def solve_optimal_speed(p_mag, a, gamma_prime: float):
     """Invert gamma' a s (1+s^2)^(gamma'/2-1) = |p| for the speed s >= 0.
 
@@ -118,8 +143,8 @@ def solve_optimal_speed(p_mag, a, gamma_prime: float):
     """
     p = np.asarray(p_mag, dtype=float)
     scalar = p.ndim == 0
-    p = np.atleast_1d(p).copy()
-    av = np.broadcast_to(np.asarray(a, dtype=float), p.shape).copy()
+    p = np.atleast_1d(p)
+    av = np.broadcast_to(np.asarray(a, dtype=float), p.shape)
     if not np.all(np.isfinite(p)):
         raise ValueError("momentum magnitude must be finite")
     if np.any(p < 0.0):
@@ -144,13 +169,23 @@ def solve_optimal_speed(p_mag, a, gamma_prime: float):
         done |= np.abs(g) <= tol_arr
         if done.all():
             break
-        lo = np.where((g < 0.0) & ~done, s, lo)
-        hi = np.where((g > 0.0) & ~done, s, hi)
+        # lo and hi are this loop's own arrays: moved in place
+        active = ~done
+        below = (g < 0.0) & active
+        if below.any():
+            np.copyto(lo, s, where=below)
+        above = (g > 0.0) & active
+        if above.any():
+            np.copyto(hi, s, where=above)
         trial = s - g / _speed_map_deriv(s, av, gp)
         # below the float resolution no step can move s any more
-        done |= (trial == s) | (np.nextafter(lo, hi) >= hi)
+        done |= trial == s
+        closed = _bracket_may_be_closed(lo, hi)
+        if closed.size:
+            done[closed] |= np.nextafter(lo[closed], hi[closed]) >= hi[closed]
         outside = (trial <= lo) | (trial >= hi)
-        trial = np.where(outside, 0.5 * (lo + hi), trial)
+        if outside.any():
+            trial = np.where(outside, 0.5 * (lo + hi), trial)
         s = np.where(done, s, trial)
     else:
         raise RuntimeError("optimal-speed iteration failed to converge "
@@ -193,21 +228,28 @@ def example_eval(p, a, gamma: float) -> HamiltonianEval:
     gp = conjugate_exponent(gamma)
     av = np.broadcast_to(np.asarray(a, dtype=float), (n,))
 
-    p_mag = np.linalg.norm(p2, axis=1)
+    p_mag = np.sqrt(pointwise_dot(p2, p2))
     s = np.atleast_1d(solve_optimal_speed(p_mag, av, gp))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phat = np.where(p_mag[:, None] > 0.0, p2 / p_mag[:, None], 0.0)
+    still = np.flatnonzero(p_mag == 0.0)  # there phat = 0 and s = 0
 
     s2 = s * s
     w = (1.0 + s2) ** (0.5 * gp - 1.0)
     H = av * ((gp - 1.0) * s2 - 1.0) * w
-    DpH = s[:, None] * phat
+    DpH = np.empty((n, d))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for i in range(d):
+            phat = p2[:, i] / p_mag
+            phat[still] = 0.0
+            DpH[:, i] = s * phat
 
     c = gp * av * w
-    eye = np.eye(d)[None, :, :]
-    vv = DpH[:, :, None] * DpH[:, None, :]
-    DppH = (eye - (gp - 2.0) * vv / (1.0 + (gp - 1.0) * s2)[:, None, None]) \
-        / c[:, None, None]
+    # DppH = (I - (gamma' - 2) v v^T / den) / c, v = -DpH
+    den = 1.0 + (gp - 1.0) * s2
+    DppH = np.empty((n, d, d))
+    for i in range(d):
+        for j in range(i + 1):
+            vv = DpH[:, i] * DpH[:, j]
+            DppH[:, i, j] = DppH[:, j, i] = (float(i == j) - (gp - 2.0) * vv / den) / c
     return _squeeze(HamiltonianEval(H, DpH, DppH), single)
 
 
@@ -216,7 +258,7 @@ def example_lagrangian(v, a, gamma: float):
     v2, single = _promote(v)
     gp = conjugate_exponent(gamma)
     av = np.broadcast_to(np.asarray(a, dtype=float), (v2.shape[0],))
-    L = av * (1.0 + np.sum(v2 * v2, axis=1)) ** (0.5 * gp)
+    L = av * (1.0 + pointwise_dot(v2, v2)) ** (0.5 * gp)
     return float(L[0]) if single else L
 
 
@@ -224,14 +266,21 @@ def power_eval(p, gamma: float) -> HamiltonianEval:
     """Evaluate the homotopy base H(p) = (1 + |p|^2)^(gamma/2)."""
     p2, single = _promote(p)
     n, d = p2.shape
-    q = np.sum(p2 * p2, axis=1)
+    q = pointwise_dot(p2, p2)
     w = (1.0 + q) ** (0.5 * gamma - 1.0)
     H = (1.0 + q) ** (0.5 * gamma)
-    DpH = gamma * w[:, None] * p2
-    eye = np.eye(d)[None, :, :]
-    pp = p2[:, :, None] * p2[:, None, :]
-    DppH = gamma * w[:, None, None] * eye \
-        + gamma * (gamma - 2.0) * ((1.0 + q) ** (0.5 * gamma - 2.0))[:, None, None] * pp
+    gw = gamma * w
+    DpH = np.empty((n, d))
+    for i in range(d):
+        DpH[:, i] = gw * p2[:, i]
+    # DppH = gamma w I + gamma (gamma - 2) (1 + q)^(gamma/2 - 2) p p^T
+    curve = gamma * (gamma - 2.0) * (1.0 + q) ** (0.5 * gamma - 2.0)
+    DppH = np.empty((n, d, d))
+    for i in range(d):
+        for j in range(i + 1):
+            pp = curve * (p2[:, i] * p2[:, j])
+            # the identity's zero off the diagonal turns -0.0 into 0.0
+            DppH[:, i, j] = DppH[:, j, i] = gw + pp if i == j else 0.0 + pp
     return _squeeze(HamiltonianEval(H, DpH, DppH), single)
 
 
@@ -471,7 +520,7 @@ def audit_assumptions(gamma: float, a, alpha: float, d: int) -> AssumptionAudit:
     r_far = np.geomspace(50.0 * AUDIT_RADIUS, 5000.0 * AUDIT_RADIUS, 12)
     ev_far, _, rr_far, _ = evaluate(a_far, r_far)
 
-    p_dot = np.einsum("ki,ki->k", ev.DpH, P)
+    p_dot = pointwise_dot(ev.DpH, P)
     lhs = p_dot - ev.H
     checks = []
 
@@ -502,9 +551,9 @@ def audit_assumptions(gamma: float, a, alpha: float, d: int) -> AssumptionAudit:
         {"c": c_geo, "C": env, "spread": spread}))
 
     # gradient growth
-    dp_mag = np.linalg.norm(ev.DpH, axis=1)
+    dp_mag = np.sqrt(pointwise_dot(ev.DpH, ev.DpH))
     c_grad = float(np.max(dp_mag / (1.0 + rr ** (gamma - 1.0))))
-    dp_far = np.linalg.norm(ev_far.DpH, axis=1)
+    dp_far = np.sqrt(pointwise_dot(ev_far.DpH, ev_far.DpH))
     pos = dp_far > 0.0
     slope = float(np.polyfit(np.log(rr_far[pos]), np.log(dp_far[pos]), 1)[0])
     checks.append(AssumptionCheck(
@@ -514,7 +563,7 @@ def audit_assumptions(gamma: float, a, alpha: float, d: int) -> AssumptionAudit:
     # Hessian positivity and congestion margin
     eigs = np.linalg.eigvalsh(np.atleast_3d(ev.DppH).reshape(-1, d, d))
     min_eig = float(np.min(eigs))
-    quad = np.einsum("ki,kij,kj->k", P, ev.DppH, P)
+    quad = pointwise_form(P, ev.DppH)
     margin = lhs - 0.25 * alpha * quad
     min_margin = float(np.min(margin))
     gp = conjugate_exponent(gamma)

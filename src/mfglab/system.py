@@ -35,7 +35,10 @@ data = data0 + S c.  Entries whose value vanishes at a state stay in
 the pattern as explicit zeros.  `jacobian_template` and
 `assemble_jacobian` are the only code here that needs scipy, and they
 import it when first called: the residual, the linearization and the
-bilinear form run on numpy alone.
+bilinear form run on numpy alone.  As in :mod:`mfglab.hamiltonian`, no
+per-point code broadcasts over a length-d axis or calls einsum: every
+component of Q, W, the flux and the contractions is computed from
+length-N vectors.
 
 The monotonicity test used to certify uniqueness is the form
 B[w, w] = integrate( f row1 - v row2 ) of the linearization, w = (v, f).
@@ -65,7 +68,7 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-from .grid import TorusGrid
+from .grid import TorusGrid, pointwise_dot, pointwise_form
 from .hamiltonian import HamiltonianEval, blend_eval, potential_eval
 
 
@@ -160,13 +163,16 @@ def _evaluate(state: MFGState, models: MFGModels):
     _check_density(state.m)
     alpha = models.alpha
     ma = state.m**alpha
-    Q = state.grid.gradient(state.u) / ma[:, None]
+    Q = state.grid.gradient(state.u)
+    for i in range(state.grid.d):
+        Q[:, i] /= ma
     ev = models.hamiltonian(Q, state.lam)
     V, DmV = models.potential(state.m, state.lam)
-    q_dot = np.einsum("ki,ki->k", Q, ev.DpH)
+    q_dot = pointwise_dot(Q, ev.DpH)
     density_coupling = alpha * state.m ** (alpha - 1.0) * (ev.H - q_dot) + DmV
-    hess_q = np.einsum("kij,kj->ki", ev.DppH, Q)
-    W = ev.DpH - alpha * hess_q
+    W = np.empty_like(ev.DpH)
+    for i in range(state.grid.d):  # DpH - alpha DppH Q
+        W[:, i] = ev.DpH[:, i] - alpha * pointwise_dot(ev.DppH[:, i], Q)
     lin = Linearization(state.grid, ev, density_coupling, W,
                         state.m ** (1.0 - alpha))
     return ma, V, lin
@@ -185,7 +191,9 @@ def residual(state: MFGState, models: MFGModels) -> ResidualPair:
     ma, V, lin = _evaluate(state, models)
     grid = state.grid
     r_u = state.u - grid.laplacian(state.u) + ma * lin.ev.H + V
-    flux = lin.ev.DpH * state.m[:, None]
+    flux = np.empty_like(lin.ev.DpH)
+    for i in range(grid.d):
+        flux[:, i] = lin.ev.DpH[:, i] * state.m
     r_m = state.m - grid.laplacian(state.m) - grid.divergence(flux) - 1.0
     return ResidualPair(r_u, r_m, lin)
 
@@ -319,10 +327,15 @@ def assemble_jacobian(lin: Linearization) -> sp.csr_matrix:
 
     N, d = lin.grid.npoints, lin.grid.d
     template = jacobian_template(lin.grid)
-    hess = (lin.m_scale[:, None, None] * lin.ev.DppH).reshape(N, d * d)
-    coef = np.concatenate([lin.ev.DpH.T.ravel(), lin.density_coupling,
-                           hess.T.ravel(), lin.W.T.ravel()])
-    data = template.data0 + template.coef_map @ coef
+    hess, transport = d + 1, d * d + d + 1  # first DppH and W rows of coef
+    coef = np.empty((transport + d, N))
+    coef[:d] = lin.ev.DpH.T
+    coef[d] = lin.density_coupling
+    for i in range(d):
+        for j in range(d):
+            np.multiply(lin.m_scale, lin.ev.DppH[:, i, j], out=coef[hess + i * d + j])
+    coef[transport:] = lin.W.T
+    data = template.data0 + template.coef_map @ coef.ravel()
     return sp.csr_matrix((data, template.indices, template.indptr),
                          shape=(2 * N, 2 * N))
 
@@ -335,7 +348,7 @@ def bilinear_form(lin: Linearization, v: np.ndarray, f: np.ndarray) -> float:
     integrate( f row1 - v row2 ) of the Jacobian's action on w.
     """
     g = lin.grid.gradient(v)
-    transport = np.einsum("ki,ki->k", lin.ev.DpH - lin.W, g)
-    diffusion = np.einsum("ki,kij,kj->k", g, lin.ev.DppH, g)
+    transport = pointwise_dot(lin.ev.DpH - lin.W, g)
+    diffusion = pointwise_form(g, lin.ev.DppH)
     return lin.grid.integrate(lin.density_coupling * f * f + f * transport
                               - lin.m_scale * diffusion)

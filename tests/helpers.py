@@ -3,6 +3,8 @@
 import numpy as np
 
 from mfglab import MFGModels, TorusGrid, coefficient_field
+from mfglab.hamiltonian import (SPEED_MAX_ITER, SPEED_TOL, _speed_map,
+                                _speed_map_deriv, _speed_start)
 
 
 def default_models(grid: TorusGrid, gamma: float = 1.25,
@@ -49,3 +51,119 @@ def smooth_positive_density(grid: TorusGrid, rng: np.random.Generator,
     """Smooth density bounded well away from zero (min >= 0.15)."""
     m = 1.0 + amplitude * np.tanh(smooth_field(grid, rng, 0.5))
     return np.maximum(m, 0.15)
+
+
+# -- reference copies of the broadcasting pointwise kernels ------------
+#
+# The package computes every pointwise kernel one component at a time,
+# from length-N vectors.  The copies below are the earlier formulas,
+# which broadcast over the length-d axes and contract with einsum; the
+# tests hold the package to their bits.
+
+
+def reference_solve_optimal_speed(p_mag, a, gamma_prime):
+    """The safeguarded Newton loop with an eager np.nextafter test."""
+    p = np.atleast_1d(np.asarray(p_mag, dtype=float)).copy()
+    av = np.broadcast_to(np.asarray(a, dtype=float), p.shape).copy()
+    gp = float(gamma_prime)
+    s = _speed_start(p, av, gp)
+    lo = np.zeros_like(p)
+    hi = np.maximum(2.0 * s, 1.0)
+    tol_arr = np.maximum(SPEED_TOL, 8.0 * np.finfo(float).eps * p)
+    done = np.zeros(p.shape, dtype=bool)
+    for _ in range(SPEED_MAX_ITER):
+        g = _speed_map(s, av, gp) - p
+        done |= np.abs(g) <= tol_arr
+        if done.all():
+            return s
+        lo = np.where((g < 0.0) & ~done, s, lo)
+        hi = np.where((g > 0.0) & ~done, s, hi)
+        trial = s - g / _speed_map_deriv(s, av, gp)
+        done |= (trial == s) | (np.nextafter(lo, hi) >= hi)
+        outside = (trial <= lo) | (trial >= hi)
+        trial = np.where(outside, 0.5 * (lo + hi), trial)
+        s = np.where(done, s, trial)
+    raise RuntimeError("optimal-speed iteration failed to converge")
+
+
+def reference_example_eval(p, a, gamma):
+    """(H, DpH, DppH) of the example Hamiltonian at momenta p, shape (N, d)."""
+    n, d = p.shape
+    gp = gamma / (gamma - 1.0)
+    av = np.broadcast_to(np.asarray(a, dtype=float), (n,))
+    p_mag = np.linalg.norm(p, axis=1)
+    s = reference_solve_optimal_speed(p_mag, av, gp)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phat = np.where(p_mag[:, None] > 0.0, p / p_mag[:, None], 0.0)
+    s2 = s * s
+    w = (1.0 + s2) ** (0.5 * gp - 1.0)
+    H = av * ((gp - 1.0) * s2 - 1.0) * w
+    DpH = s[:, None] * phat
+    c = gp * av * w
+    eye = np.eye(d)[None, :, :]
+    vv = DpH[:, :, None] * DpH[:, None, :]
+    DppH = (eye - (gp - 2.0) * vv / (1.0 + (gp - 1.0) * s2)[:, None, None]) \
+        / c[:, None, None]
+    return H, DpH, DppH
+
+
+def reference_power_eval(p, gamma):
+    """(H, DpH, DppH) of (1 + |p|^2)^(gamma/2) at momenta p, shape (N, d)."""
+    n, d = p.shape
+    q = np.sum(p * p, axis=1)
+    w = (1.0 + q) ** (0.5 * gamma - 1.0)
+    H = (1.0 + q) ** (0.5 * gamma)
+    DpH = gamma * w[:, None] * p
+    eye = np.eye(d)[None, :, :]
+    pp = p[:, :, None] * p[:, None, :]
+    DppH = gamma * w[:, None, None] * eye \
+        + gamma * (gamma - 2.0) * ((1.0 + q) ** (0.5 * gamma - 2.0))[:, None, None] * pp
+    return H, DpH, DppH
+
+
+def reference_blend_eval(p, a, gamma, lam):
+    """(H, DpH, DppH) of lam * example + (1 - lam) * power."""
+    if lam == 1.0:
+        return reference_example_eval(p, a, gamma)
+    if lam == 0.0:
+        return reference_power_eval(p, gamma)
+    ex = reference_example_eval(p, a, gamma)
+    pw = reference_power_eval(p, gamma)
+    return tuple(lam * e + (1.0 - lam) * w for e, w in zip(ex, pw))
+
+
+def reference_linearization(state, models):
+    """(H, DpH, DppH, density coupling, W, m^(1-alpha)) at a state."""
+    alpha, m = models.alpha, state.m
+    ma = m**alpha
+    Q = state.grid.gradient(state.u) / ma[:, None]
+    H, DpH, DppH = reference_blend_eval(Q, models.a, models.gamma, state.lam)
+    _, DmV = models.potential(m, state.lam)
+    q_dot = np.einsum("ki,ki->k", Q, DpH)
+    coupling = alpha * m ** (alpha - 1.0) * (H - q_dot) + DmV
+    W = DpH - alpha * np.einsum("kij,kj->ki", DppH, Q)
+    return H, DpH, DppH, coupling, W, m ** (1.0 - alpha)
+
+
+def reference_jacobian_coefficients(lin):
+    """The stacked coefficients c that `assemble_jacobian` maps to data."""
+    N, d = lin.grid.npoints, lin.grid.d
+    hess = (lin.m_scale[:, None, None] * lin.ev.DppH).reshape(N, d * d)
+    return np.concatenate([lin.ev.DpH.T.ravel(), lin.density_coupling,
+                           hess.T.ravel(), lin.W.T.ravel()])
+
+
+def reference_bilinear_form(lin, v, f):
+    """B[w, w] with k.g and g.DppH g contracted by einsum."""
+    g = lin.grid.gradient(v)
+    transport = np.einsum("ki,ki->k", lin.ev.DpH - lin.W, g)
+    diffusion = np.einsum("ki,kij,kj->k", g, lin.ev.DppH, g)
+    return lin.grid.integrate(lin.density_coupling * f * f + f * transport
+                              - lin.m_scale * diffusion)
+
+
+def assert_same_bits(actual, expected):
+    """Equal shapes and equal float64 bit patterns (so 0.0 != -0.0)."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))

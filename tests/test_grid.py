@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from mfglab.grid import (ScalarField, TorusGrid, _shift, read_field_csv,
-                         write_field_csv, write_grid_table)
+from mfglab.grid import (ScalarField, TorusGrid, _shift, pointwise_dot,
+                         pointwise_form, read_field_csv, write_field_csv,
+                         write_grid_table)
 
 # values whose 17-digit text is easy to get wrong: signed zero, the
 # smallest subnormal, both ends of the exponent range, non-finite values
@@ -189,6 +190,21 @@ class TestShiftedStencils:
         assert np.array_equal(grid.laplacian(f), lap.ravel() / h**2)
 
 
+class TestPointwiseContractions:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bits_of_einsum(self, d):
+        # magnitudes over 60 decades, signed zeros and subnormals
+        rng = np.random.default_rng(d)
+        n = 4000
+        x, y = (rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-30, 30, (n, d))
+                for _ in range(2))
+        a = rng.standard_normal((n, d, d)) * 10.0 ** rng.uniform(-30, 30, (n, d, d))
+        x[:10], y[10:20], a[20:30] = -0.0, 0.0, 1e-310
+        for got, want in ((pointwise_dot(x, y), np.einsum("ki,ki->k", x, y)),
+                          (pointwise_form(x, a), np.einsum("ki,kij,kj->k", x, a, x))):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestQuadrature:
     def test_unit_volume(self):
         for grid in (TorusGrid(1, 32), TorusGrid(2, 16)):
@@ -325,6 +341,23 @@ class TestFieldSerialization:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="no data row"):
                 read_field_csv(path)
+
+    @pytest.mark.parametrize("offset, ok", [(5e-13, True), (-5e-13, True),
+                                            (2e-12, False), (-2e-12, False)])
+    def test_coordinate_tolerance_is_absolute_1e_12(self, offset, ok, tmp_path):
+        grid = TorusGrid(2, 8)
+        path = tmp_path / "f.csv"
+        write_field_csv(ScalarField(grid, np.ones(grid.npoints)), path)
+        lines = path.read_text().splitlines()
+        x, y, value = lines[1 + 8 * 3 + 5].split(",")
+        lines[1 + 8 * 3 + 5] = f"{x},{float(y) + offset!r},{value}"
+        path.write_text("\n".join(lines) + "\n")
+        if ok:
+            assert np.array_equal(read_field_csv(path, grid).values,
+                                  np.ones(grid.npoints))
+        else:
+            with pytest.raises(ValueError, match="row-major unit-torus lattice"):
+                read_field_csv(path, grid)
 
     def test_header_names_axes(self, tmp_path):
         grid = TorusGrid(2, 8)

@@ -4,9 +4,13 @@ import decimal
 import math
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from helpers import (assert_same_bits, reference_blend_eval,
+                     reference_solve_optimal_speed)
 from mfglab import hamiltonian
 from mfglab.grid import TorusGrid
 from mfglab.hamiltonian import (admissible_alpha_max, audit_assumptions,
@@ -171,6 +175,51 @@ class TestOptimalSpeed:
                 counts.append(len(calls))
             assert counts[0] <= counts[1], x
 
+    @pytest.mark.parametrize("gp", [2.01, 3.0, 101.0])
+    @pytest.mark.parametrize("a", [1.0, 0.3, "field"])
+    def test_keeps_the_bits_of_the_eager_loop(self, gp, a):
+        p = np.concatenate([[0.0, 1e-310, 5e-324, 1e3],
+                            np.geomspace(1e-300, 1e300, 601)])
+        if a == "field":
+            a = np.random.default_rng(3).uniform(0.5, 2.0, p.size)
+        assert_same_bits(solve_optimal_speed(p, a, gp),
+                         reference_solve_optimal_speed(p, a, gp))
+
+    def test_steep_map_stops_on_a_closed_bracket(self, monkeypatch):
+        # gamma' = 101 at |p| = 1e3: no float meets the residual tolerance,
+        # and the lazy test must still see the bracket close
+        closed = []
+        may_be_closed = hamiltonian._bracket_may_be_closed
+
+        def spy(lo, hi):
+            idx = may_be_closed(lo, hi)
+            closed.extend(idx[np.nextafter(lo[idx], hi[idx]) >= hi[idx]])
+            return idx
+
+        monkeypatch.setattr(hamiltonian, "_bracket_may_be_closed", spy)
+        p = np.array([1e3, 2.0, 1e3 * (1.0 + 1e-9)])
+        s = solve_optimal_speed(p, 1.0, 101.0)
+        assert 0 in closed
+        assert_same_bits(s, reference_solve_optimal_speed(p, 1.0, 101.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1e308), st.integers(-4, 4),
+           st.floats(0.0, 1.0, exclude_max=True))
+    @example(1.0, 1, 0.5)
+    @example(1e-3, 1, 0.0)
+    @example(2.0**-1022, 1, 0.0)
+    @example(2.0**-1022 + 5e-324, 1, 0.0)
+    @example(2.0**1023, -2, 0.0)
+    def test_bracket_prefilter_keeps_every_closed_bracket(self, hi, ulps, scale):
+        # lo a few floats below hi (above it for ulps < 0), also where hi
+        # is scaled into the subnormals, and lo a fraction of hi
+        hi = np.array([hi, hi * 1e-310, 5e-324 * 4, hi])
+        lo = np.array([hi[0], hi[1], 5e-324 * (4 + ulps), hi[0] * scale])
+        for _ in range(abs(ulps)):
+            lo[:2] = np.nextafter(lo[:2], -np.inf if ulps > 0 else np.inf)
+        closed = np.flatnonzero(np.nextafter(lo, hi) >= hi)
+        assert set(closed) <= set(hamiltonian._bracket_may_be_closed(lo, hi))
+
 
 class TestExampleHamiltonian:
     def test_zero_momentum(self):
@@ -308,6 +357,20 @@ class TestBlend:
     def test_rejects_weight_outside_unit_interval(self):
         with pytest.raises(ValueError):
             blend_eval(np.zeros(1), 1.0, 1.25, 1.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([0.0, 0.4, 1.0]), st.sampled_from([1, 2]),
+           st.floats(1.05, 1.95), st.data())
+    def test_bits_of_the_broadcasting_formulas(self, lam, d, gamma, data):
+        n = data.draw(st.integers(1, 12))
+        p = data.draw(hnp.arrays(float, (n, d), elements=st.floats(-1e4, 1e4)))
+        still = data.draw(hnp.arrays(bool, n))
+        p[still] *= 0.0  # p = 0 rows, with the signs of zero kept
+        a = data.draw(hnp.arrays(float, n, elements=st.floats(0.2, 5.0)))
+        got = blend_eval(p, a, gamma, lam)
+        for actual, expected in zip((got.H, got.DpH, got.DppH),
+                                    reference_blend_eval(p, a, gamma, lam)):
+            assert_same_bits(actual, expected)
 
 
 class TestPotential:

@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from helpers import default_models, smooth_field, smooth_positive_density
+from helpers import (assert_same_bits, default_models,
+                     reference_bilinear_form, reference_jacobian_coefficients,
+                     reference_linearization, smooth_field,
+                     smooth_positive_density)
 from mfglab.grid import TorusGrid
 from mfglab.hamiltonian import conjugate_exponent
 from mfglab.system import (MFGState, assemble_jacobian, bilinear_form,
@@ -410,6 +414,54 @@ class TestBilinearForm:
             v = rng.standard_normal(grid.npoints)
             f = rng.standard_normal(grid.npoints)
             assert bilinear_form(carried, v, f) == bilinear_form(fresh, v, f)
+
+
+class TestComponentKernels:
+    """The component-by-component kernels keep the bits of the
+    broadcasting and einsum formulas they replace (tests/helpers.py)."""
+
+    @staticmethod
+    def state_and_models(grid, seed, amplitude, alpha, gamma, lam):
+        rng = np.random.default_rng(seed)
+        state = MFGState(grid, smooth_field(grid, rng, amplitude),
+                         smooth_positive_density(grid, rng), lam)
+        return state, default_models(grid, gamma=gamma, alpha=alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([TorusGrid(1, 16), TorusGrid(2, 8)]),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 3.0]),
+           st.floats(0.25, 1.5), st.floats(1.1, 1.9),
+           st.sampled_from([0.0, 0.4, 1.0]))
+    def test_linearization_residual_and_jacobian_bits(self, grid, seed, amplitude,
+                                                      alpha, gamma, lam):
+        state, models = self.state_and_models(grid, seed, amplitude, alpha,
+                                              gamma, lam)
+        res = residual(state, models)
+        lin = res.lin
+        ref = reference_linearization(state, models)
+        for actual, expected in zip((lin.ev.H, lin.ev.DpH, lin.ev.DppH,
+                                     lin.density_coupling, lin.W, lin.m_scale), ref):
+            assert_same_bits(actual, expected)
+        m = state.m
+        flux = ref[1] * m[:, None]
+        assert_same_bits(res.r_m, m - grid.laplacian(m) - grid.divergence(flux) - 1.0)
+        template = jacobian_template(grid)
+        assert_same_bits(assemble_jacobian(lin).data,
+                         template.data0 + template.coef_map
+                         @ reference_jacobian_coefficients(lin))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([TorusGrid(1, 16), TorusGrid(2, 8)]),
+           st.integers(0, 2**32 - 1), st.floats(0.25, 1.5),
+           st.sampled_from([0.0, 0.4, 1.0]))
+    def test_bilinear_form_matches_the_einsum_form(self, grid, seed, alpha, lam):
+        state, models = self.state_and_models(grid, seed, 0.5, alpha, 1.25, lam)
+        lin = linearize(state, models)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            v, f = rng.standard_normal(grid.npoints), rng.standard_normal(grid.npoints)
+            want = reference_bilinear_form(lin, v, f)
+            assert abs(bilinear_form(lin, v, f) - want) <= 1e-14 * abs(want)
 
 
 class TestState:
