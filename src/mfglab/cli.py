@@ -20,8 +20,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, validate_config
 from .diagnostics import certify, energy_identity, estimate_suite
-from .grid import (ScalarField, TorusGrid, read_field_csv, write_field_csv,
-                   write_grid_table)
+from .grid import ScalarField, TorusGrid, read_field_csv, write_field_csv
 from .hamiltonian import (admissible_alpha_max, audit_assumptions,
                           check_parameter_admissibility, coefficient_field)
 from .system import MFGModels, MFGState, bilinear_form, linearize
@@ -93,22 +92,15 @@ def _admissibility_gate(cfg: RunConfig, override: bool) -> bool:
 
 def _write_solution_files(out_dir, grid, models, path) -> None:
     state = path.final_state
-    steps = [s.record() for s in path.steps]
     write_field_csv(ScalarField(grid, state.u), os.path.join(out_dir, "u.csv"))
     write_field_csv(ScalarField(grid, state.m), os.path.join(out_dir, "m.csv"))
-    _write_json({"status": path.status, "steps": steps,
+    _write_json({"status": path.status,
+                 "steps": [s.record() for s in path.steps],
                  "total_iters": path.total_iters},
                 os.path.join(out_dir, "path.json"))
     report = estimate_suite(state, models)
     _write_json(dataclasses.asdict(report),
                 os.path.join(out_dir, "diagnostics.json"))
-    # plot data: fields side by side, and the continuation trace
-    write_grid_table(os.path.join(out_dir, "solution.csv"), grid, ["u", "m"],
-                     [state.u, state.m])
-    with open(os.path.join(out_dir, "path.csv"), "w") as fh:
-        fh.write(",".join(steps[0]) + "\n")
-        for step in steps:
-            fh.write(",".join(format_json(v) for v in step.values()) + "\n")
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str | None = None,

@@ -58,17 +58,19 @@ def mass_check(state: MFGState) -> float:
     return state.grid.integrate(state.m)
 
 
-def energy_identity(state: MFGState, models: MFGModels):
+def energy_identity(state: MFGState, models: MFGModels,
+                    Du: np.ndarray | None = None):
     """Both sides of the energy identity and their absolute gap.
 
     Meaningful near a solution of the state's lam-system; the residual
-    is the certificate value.
+    is the certificate value.  `Du`, if given, is the caller's
+    `grid.gradient4(state.u)`; it is read, not modified.
     """
     if np.min(state.m) <= 0.0:
         raise ValueError("density must be strictly positive on the grid")
     grid = state.grid
     ma = state.m**models.alpha
-    Q = grid.gradient4(state.u)
+    Q = grid.gradient4(state.u) if Du is None else Du.copy()
     for i in range(grid.d):
         Q[:, i] /= ma
     ev = models.hamiltonian(Q, state.lam)
@@ -87,14 +89,14 @@ SURROGATE_P = 16.0
 
 def estimate_suite(state: MFGState, models: MFGModels) -> DiagnosticsReport:
     """Evaluate every reported estimate quantity on the state."""
-    lhs, rhs, resid = energy_identity(state, models)  # checks m > 0
     grid = state.grid
     u, m = state.u, state.m
+    Du = grid.gradient4(u)
+    lhs, rhs, resid = energy_identity(state, models, Du)  # checks m > 0
     alpha, gamma = models.alpha, models.gamma
     alpha_bar = (gamma - 1.0) * alpha
     delta = 2.0 * alpha_bar / (2.0 - gamma)
 
-    Du = grid.gradient4(u)
     du_mag = np.sqrt(pointwise_dot(Du, Du))
     Dm = grid.gradient4(m)
     dm_mag = np.sqrt(pointwise_dot(Dm, Dm))

@@ -13,18 +13,26 @@ Each Newton system J delta = -F is solved by one linear solver type,
 `LaggedLU`: right-preconditioned GMRES that applies the exact Jacobian
 J, preconditioned by the most recent sparse LU factor, which is held for
 the whole continuation run (a lagged factor, as in inexact Newton-Krylov
-methods).  The Krylov solution is accepted when its true backward error
-||J x - b|| / ||b|| is at most 1e-10; otherwise J is factored afresh by
-`solve_direct`, whose solution must pass the normwise gate
+methods).  The Krylov solution is accepted when its true residual
+satisfies ||J x - b||_2 <= max(1e-10 ||b||_2, atol), and GMRES aims a
+decade below that; otherwise J is factored afresh by `solve_direct`,
+whose solution must pass the normwise gate
 ||J x - b|| / (||J|| ||x|| + ||b||) <= 1e-10 in the infinity norm, and
 the new factor replaces the held one.  The normwise gate does not grow
 with ||J|| ~ 4 d / h^2 as the grid is refined; the Krylov gate stays
-relative to ||b||, because on a singular matrix GMRES can return a huge
-x that a normwise test would accept.  Newton therefore keeps its
-quadratic contraction while consecutive Jacobians along the path share
-one factorization.  A Newton solve converges once its residual is below
-the tolerance or the state's rounding floor (`residual_floor`),
-whichever is larger.  Each converged Newton solve is one
+relative to ||b|| unless atol is larger, because on a singular matrix
+GMRES can return a huge x that a normwise test would accept.  A Newton
+solve converges once its sup-norm residual is below the tolerance or
+the state's rounding floor (`residual_floor`), whichever is larger, and
+it passes a tenth of that threshold to the linear solver as atol: a
+linear residual that small cannot change whether the next iterate
+passes, so the last solves of a run stop there instead of at 1e-10 of
+an already tiny ||b|| (inexact Newton, as in Eisenstat & Walker, SIAM
+J. Sci. Comput., 1996).  Newton therefore keeps its quadratic
+contraction while consecutive Jacobians along the path share one
+factorization.  The long reductions of GMRES and of the gate are summed
+in fixed chunks (`chunked_matvec`), so a run writes the same bits under
+1 and 2 BLAS threads.  Each converged Newton solve is one
 `NewtonResult`, and a continuation path is the list of them.
 
 On 2D grids SuperLU factors J and orders the columns by minimum degree
@@ -155,7 +163,7 @@ class NewtonResult:
         return float(np.min(self.state.m))
 
     def record(self) -> dict:
-        """The step's fields, in the order `path.json` and `path.csv` write them."""
+        """The step's fields, in the order `path.json` writes them."""
         return {"lambda": self.lam, "n": self.n, "iters": self.iters,
                 "residual": self.residual_norm, "min_m": self.min_m}
 
@@ -197,10 +205,34 @@ class SolvePath:
         return [s.log_line() for s in self.steps]
 
 
+def chunked_matvec(rows: np.ndarray, w: np.ndarray):
+    """rows @ w for a vector w, summed over 4096-column chunks in order.
+
+    OpenBLAS splits a long product among its threads, so the bits of a
+    gemv of 32768 columns or a dot of 131072 depend on the BLAS thread
+    count; products of 4096 columns gave the same bits under 1 and 2
+    threads, and the chunks are added in a fixed order.  Below 4096
+    columns this is rows @ w.
+    """
+    chunk = 4096
+    total = rows[..., :chunk] @ w[:chunk]
+    for start in range(chunk, w.size, chunk):
+        total += rows[..., start:start + chunk] @ w[start:start + chunk]
+    return total
+
+
+def norm2(v: np.ndarray) -> float:
+    """||v||_2 reduced by `chunked_matvec`, so independent of BLAS threads.
+
+    Below 4096 entries it has the bits of np.linalg.norm(v).
+    """
+    return math.sqrt(chunked_matvec(v, v))
+
+
 def backward_error(matrix: sp.spmatrix, x: np.ndarray, rhs: np.ndarray) -> float:
-    """||matrix x - rhs|| / ||rhs||, the gate of a Krylov solve."""
-    denom = max(float(np.linalg.norm(rhs)), 1e-300)
-    return float(np.linalg.norm(matrix @ x - rhs)) / denom
+    """||matrix x - rhs|| / ||rhs|| in the 2-norm: the Krylov gate of
+    `LaggedLU.solve` at atol = 0."""
+    return norm2(matrix @ x - rhs) / max(norm2(rhs), 1e-300)
 
 
 def normwise_backward_error(matrix: sp.spmatrix, x: np.ndarray,
@@ -222,17 +254,18 @@ def normwise_backward_error(matrix: sp.spmatrix, x: np.ndarray,
 
 
 def gmres(matvec, precond, rhs: np.ndarray, max_iters: int,
-          tol: float) -> tuple[np.ndarray, int, float]:
+          atol: float) -> tuple[np.ndarray, int, float]:
     """Right-preconditioned GMRES from x = 0, without restarts.
 
     Solves A x = b through A M^-1 y = b, x = M^-1 y, so the Givens
     estimate of the least-squares residual is ||b - A x|| itself, not a
-    preconditioned residual.  Stops once that estimate is at most
-    tol ||b|| or after max_iters iterations.  Returns (x, iterations,
-    residual estimate).  Arnoldi orthogonalizes by classical Gram-Schmidt
-    applied twice, as two dense products with the basis per pass.
+    preconditioned residual.  Stops once that estimate is at most atol
+    or after max_iters iterations.  Returns (x, iterations, residual
+    estimate).  Arnoldi orthogonalizes by classical Gram-Schmidt applied
+    twice, as two dense products with the basis per pass; the products
+    with the new vector and the norms are reduced by `chunked_matvec`.
     """
-    beta = float(np.linalg.norm(rhs))
+    beta = norm2(rhs)
     if beta == 0.0:
         return np.zeros_like(rhs), 0, 0.0
     basis = np.empty((max_iters + 1, rhs.size))
@@ -246,13 +279,13 @@ def gmres(matvec, precond, rhs: np.ndarray, max_iters: int,
     while k < max_iters:
         zs[k] = precond(basis[k])
         w = matvec(zs[k])
-        h = basis[:k + 1] @ w
+        h = chunked_matvec(basis[:k + 1], w)
         w -= h @ basis[:k + 1]
-        h2 = basis[:k + 1] @ w
+        h2 = chunked_matvec(basis[:k + 1], w)
         w -= h2 @ basis[:k + 1]
         col = hess[:k + 2, k]
         col[:k + 1] = h + h2
-        col[k + 1] = np.linalg.norm(w)
+        col[k + 1] = norm2(w)
         if col[k + 1] > 0.0:
             basis[k + 1] = w / col[k + 1]
         for i, (c, s) in enumerate(rot[:k]):
@@ -266,7 +299,7 @@ def gmres(matvec, precond, rhs: np.ndarray, max_iters: int,
         col[k], col[k + 1] = r, 0.0
         g[k], g[k + 1] = c * g[k], -s * g[k]
         k += 1
-        if abs(g[k]) <= tol * beta:
+        if abs(g[k]) <= atol:
             break
     y = solve_triangular(hess[:k, :k], g[:k], check_finite=False)
     return y @ zs[:k], k, abs(float(g[k]))
@@ -279,13 +312,16 @@ class LaggedLU:
     held factor if there is one, else by a two-grid cycle
     (`two_grid_cycle`) through `coarse = (coarse_grid, coarse_factor)`,
     an LU factor of a Jacobian of the same problem on that grid, if
-    given.  Only if there is no preconditioner or the Krylov solution
-    misses the backward-error gate does it refactor through
-    `solve_direct` on `grid` (None for any sparse matrix): the held
-    factor is dropped first, and the new one is held unless it is a band
-    factor, so 1D systems are always factored afresh.  One instance
-    serves a whole continuation run, so a factor outlives the Newton
-    iteration that made it.
+    given.  The Krylov solution is accepted once
+    ||matrix x - rhs||_2 <= max(1e-10 ||rhs||_2, atol), where `atol` is
+    the caller's absolute threshold (0 keeps the relative gate alone).
+    Only if there is no preconditioner or the Krylov solution misses
+    that gate does it refactor through `solve_direct` on `grid` (None
+    for any sparse matrix): the held factor is dropped first, and the
+    new one is held unless it is a band factor, so 1D systems are always
+    factored afresh and never read `atol`.  One instance serves a whole
+    continuation run, so a factor outlives the Newton iteration that
+    made it.
     """
 
     def __init__(self, grid: TorusGrid | None = None, coarse=None) -> None:
@@ -293,7 +329,8 @@ class LaggedLU:
         self.coarse = coarse
         self.factor = None
 
-    def solve(self, matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, matrix: sp.spmatrix, rhs: np.ndarray,
+              atol: float = 0.0) -> np.ndarray:
         if self.factor is not None:
             precond = self.factor.solve
         elif self.coarse is not None:
@@ -303,11 +340,12 @@ class LaggedLU:
         else:
             precond = None
         if precond is not None:
+            gate = max(BACKWARD_ERROR_GATE * norm2(rhs), atol)
             # aim a decade below the gate: in floating point the true
             # residual can sit slightly above the Givens estimate
             x, _, _ = gmres(matrix.__matmul__, precond, rhs,
-                            KRYLOV_MAX_ITERS, 0.1 * BACKWARD_ERROR_GATE)
-            if backward_error(matrix, x, rhs) <= BACKWARD_ERROR_GATE:
+                            KRYLOV_MAX_ITERS, 0.1 * gate)
+            if norm2(matrix @ x - rhs) <= gate:
                 return x
         self.factor = None
         x, factor = solve_direct(matrix, rhs, self.grid)
@@ -533,11 +571,16 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
     """Damped Newton on the discrete system at fixed lam.
 
     Each iteration solves J delta = -F with `linear` (a fresh LaggedLU
-    when none is passed, so a factor is reused across iterations), then
-    backtracks over t in {1, beta, beta^2, ...} (beta = BACKTRACK_FACTOR,
-    at most MAX_BACKTRACKS times), accepting the first t that keeps
-    min(m + t delta_m) above max(MIN_M_FLOOR, 0.1 min m) and reduces the
-    sup-norm residual.
+    when none is passed, so a factor is reused across iterations) to the
+    absolute threshold atol = 0.1 max(tol, `residual_floor(state)`), a
+    decade below the test the next iterate must pass: since
+    ||.||_inf <= ||.||_2, the linear residual's share of the next
+    residual is then at most a tenth of that test, and solving further
+    is wasted (inexact Newton; Dembo, Eisenstat & Steihaug, SIAM J.
+    Numer. Anal., 1982).  It then backtracks over t in {1, beta,
+    beta^2, ...} (beta = BACKTRACK_FACTOR, at most MAX_BACKTRACKS
+    times), accepting the first t that keeps min(m + t delta_m) above
+    max(MIN_M_FLOOR, 0.1 min m) and reduces the sup-norm residual.
 
     The solve converges once the sup-norm residual, tested at the start
     and after each of at most MAX_NEWTON_ITERS iterations, is below
@@ -554,12 +597,13 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
     history = [rnorm]
 
     for it in range(MAX_NEWTON_ITERS + 1):
-        if rnorm < tol or rnorm < residual_floor(state):
+        threshold = max(tol, residual_floor(state))
+        if rnorm < threshold:
             return NewtonResult(state, it, rnorm, history)
         if it == MAX_NEWTON_ITERS:
             break
         jac = assemble_jacobian(res.lin)
-        delta = linear.solve(jac, -res.stack())
+        delta = linear.solve(jac, -res.stack(), 0.1 * threshold)
         n = state.grid.npoints
         du, dm = delta[:n], delta[n:]
 

@@ -105,9 +105,11 @@ class TestSolveCommand:
         out = str(tmp_path / "out")
         code = main(["solve", "--config", fast_config, "--out", out])
         assert code == 0
-        for name in ("u.csv", "m.csv", "path.json", "diagnostics.json",
-                     "solution.csv", "path.csv"):
+        for name in ("u.csv", "m.csv", "path.json", "diagnostics.json"):
             assert os.path.exists(os.path.join(out, name)), name
+        # u.csv and m.csv are joined by row, path.json holds the steps
+        for name in ("solution.csv", "path.csv"):
+            assert not os.path.exists(os.path.join(out, name)), name
         with open(os.path.join(out, "path.json")) as fh:
             summary = json.load(fh)
         assert summary["status"] == "reached_one"
@@ -205,11 +207,6 @@ class TestSolveCommand:
             steps = json.load(fh)["steps"]
         assert [(s["lambda"], s["n"]) for s in steps] == \
             [(0.0, 32), (1.0, 32), (1.0, 64)]
-        with open(os.path.join(out, "path.csv")) as fh:
-            rows = fh.read().splitlines()
-        assert rows[0] == "lambda,n,iters,residual,min_m"
-        assert [r.split(",")[:2] for r in rows[1:]] == \
-            [["0", "32"], ["1", "32"], ["1", "64"]]
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if l.startswith("lambda=")]
         assert len(lines) == 3
@@ -220,8 +217,9 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("grid_lines", ["", "grid.d = 2\ngrid.n = 16\n"],
                              ids=["1d", "2d"])
-    def test_solution_rows_are_field_rows_side_by_side(self, grid_lines,
-                                                       tmp_path):
+    def test_field_rows_carry_the_same_coordinates(self, grid_lines,
+                                                   tmp_path):
+        """u.csv and m.csv can be joined by row."""
         cfg = tmp_path / "side.cfg"
         cfg.write_text(FAST_CONFIG + grid_lines)
         out = str(tmp_path / "out")
@@ -230,21 +228,18 @@ class TestSolveCommand:
         def lines(name):
             with open(os.path.join(out, name)) as fh:
                 return fh.read().splitlines()
-        u, m, sol = lines("u.csv"), lines("m.csv"), lines("solution.csv")
+        u, m = lines("u.csv"), lines("m.csv")
         axes = "x," if not grid_lines else "x,y,"
-        assert sol[0] == axes + "u,m"
-        assert len(sol) == len(u) == len(m)
-        for urow, mrow, srow in zip(u[1:], m[1:], sol[1:]):
-            coords, mval = mrow.rsplit(",", 1)
-            assert urow.startswith(coords + ",")
-            assert srow == urow + "," + mval
+        assert u[0] == m[0] == axes + "value"
+        assert len(u) == len(m)
+        for urow, mrow in zip(u[1:], m[1:]):
+            assert urow.rsplit(",", 1)[0] == mrow.rsplit(",", 1)[0]
 
     def test_deterministic_outputs(self, fast_config, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         main(["solve", "--config", fast_config, "--out", out1])
         main(["solve", "--config", fast_config, "--out", out2])
-        for name in ("u.csv", "m.csv", "solution.csv", "path.csv", "path.json",
-                     "diagnostics.json"):
+        for name in ("u.csv", "m.csv", "path.json", "diagnostics.json"):
             with open(os.path.join(out1, name), "rb") as f1, \
                     open(os.path.join(out2, name), "rb") as f2:
                 assert f1.read() == f2.read(), name
@@ -653,6 +648,36 @@ class TestStartup:
         assert mfglab.SolvePath is solver.SolvePath
         with pytest.raises(AttributeError, match="no_such_name"):
             mfglab.no_such_name
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """At 2D n = 128 (2N = 32768 unknowns) OpenBLAS splits a GMRES
+        product among 2 threads; unchunked, the runs differ in the last
+        digits."""
+        import subprocess
+        import sys
+
+        import mfglab
+
+        cfg = tmp_path / "run2d128.cfg"
+        cfg.write_text("grid.d = 2\ngrid.n = 128\n")
+        src = os.path.dirname(os.path.dirname(mfglab.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=src,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "mfglab.cli", "solve",
+                 "--config", str(cfg), "--out", str(out)],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((proc.stdout, {p.name: p.read_bytes()
+                                          for p in sorted(out.iterdir())}))
+        assert sorted(outputs[0][1]) == ["diagnostics.json", "m.csv",
+                                         "path.json", "u.csv"]
+        assert outputs[0] == outputs[1]
 
 
 class TestJsonFormatting:

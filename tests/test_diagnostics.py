@@ -77,6 +77,29 @@ class TestEnergyIdentity:
         with pytest.raises(ValueError):
             energy_identity(state, models)
 
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 32), TorusGrid(2, 12)],
+                             ids=["1d", "2d"])
+    def test_shared_gradient_is_read_not_modified(self, grid, monkeypatch):
+        models = default_models(grid)
+        rng = np.random.default_rng(12)
+        state = MFGState(grid, smooth_field(grid, rng),
+                         smooth_positive_density(grid, rng), 1.0)
+        Du = grid.gradient4(state.u)
+        kept = Du.copy()
+        assert energy_identity(state, models, Du) == \
+            energy_identity(state, models)
+        assert np.array_equal(Du, kept)
+        # the suite computes the gradient of u once, for both of its uses
+        real, calls = TorusGrid.gradient4, []
+
+        def counted(self, values):
+            calls.append(values)
+            return real(self, values)
+        monkeypatch.setattr(TorusGrid, "gradient4", counted)
+        estimate_suite(state, models)
+        assert len(calls) == 4
+        assert sum(values is state.u for values in calls) == 1
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])

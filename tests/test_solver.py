@@ -14,10 +14,10 @@ from mfglab import solver, system
 from mfglab.grid import TorusGrid
 from mfglab.solver import (BandLU, LaggedLU, NewtonDivergenceError,
                            SingularSystemError, SolverError, backward_error,
-                           band_layout, continuation_run, fourier_resample,
-                           gmres, newton_solve, normwise_backward_error,
-                           residual_floor, solve_direct, transfer_matrix,
-                           two_grid_cycle)
+                           band_layout, chunked_matvec, continuation_run,
+                           fourier_resample, gmres, newton_solve, norm2,
+                           normwise_backward_error, residual_floor,
+                           solve_direct, transfer_matrix, two_grid_cycle)
 from mfglab.system import (MFGState, assemble_jacobian, bilinear_form,
                            linearize, residual)
 
@@ -44,6 +44,21 @@ def count_factorizations(monkeypatch, band_calls: list | None = None) -> list:
     monkeypatch.setattr(solver, "splu", counted)
     monkeypatch.setattr(solver, "dgbtrf", counted_band)
     return calls
+
+
+def count_gmres_iterations(monkeypatch, size: int | None = None) -> list:
+    """Record the iterations of every GMRES solve from now on (of systems
+    of `size` unknowns only, when given)."""
+    iterations = []
+    real = solver.gmres
+
+    def counted(matvec, precond, rhs, max_iters, atol):
+        x, k, estimate = real(matvec, precond, rhs, max_iters, atol)
+        if size is None or rhs.size == size:
+            iterations.append(k)
+        return x, k, estimate
+    monkeypatch.setattr(solver, "gmres", counted)
+    return iterations
 
 
 def fft_resample(values: np.ndarray, src: TorusGrid,
@@ -176,6 +191,17 @@ class TestGmres:
         true = np.linalg.norm(mat @ x - rhs)
         assert estimate == pytest.approx(true, rel=1e-8, abs=1e-13)
 
+    @pytest.mark.parametrize("size", [1, 4096, 4097, 3 * 4096 + 5])
+    def test_chunked_reductions_match_blas(self, size):
+        rng = np.random.default_rng(15)
+        rows, w = rng.standard_normal((3, size)), rng.standard_normal(size)
+        if size <= 4096:  # one chunk: the BLAS call itself
+            assert np.array_equal(chunked_matvec(rows, w), rows @ w)
+            assert norm2(w) == np.linalg.norm(w)
+        assert np.allclose(chunked_matvec(rows, w), rows @ w,
+                           rtol=0.0, atol=1e-12 * size)
+        assert norm2(w) == pytest.approx(np.linalg.norm(w), rel=1e-14)
+
     def test_zero_rhs_gives_zero(self):
         mat, _ = self.system()
         x, iters, estimate = gmres(mat.__matmul__, lambda v: v,
@@ -207,6 +233,22 @@ class TestLaggedLU:
         x = linear.solve(nearby, rhs)
         assert calls == []
         assert backward_error(nearby, x, rhs) <= 1e-10
+
+    def test_absolute_threshold_stops_gmres_early(self, monkeypatch):
+        jac = jacobian_2d()
+        linear = LaggedLU()
+        rhs = np.random.default_rng(7).standard_normal(jac.shape[0])
+        linear.solve(jac, rhs)
+        held = linear.factor
+        nearby = (jac + 0.01 * sp.diags(np.cos(np.arange(jac.shape[0])))).tocsr()
+        iterations = count_gmres_iterations(monkeypatch)
+        x = linear.solve(nearby, rhs, 0.0)
+        assert backward_error(nearby, x, rhs) <= 1e-10
+        atol = 1e-6 * np.linalg.norm(rhs)
+        x = linear.solve(nearby, rhs, atol)
+        assert np.linalg.norm(nearby @ x - rhs) <= atol
+        assert linear.factor is held  # neither solve refactored
+        assert len(iterations) == 2 and iterations[1] < iterations[0]
 
     def test_singular_matrix_raises_with_cached_factor(self):
         jac = jacobian_2d()
@@ -341,7 +383,8 @@ class TestFactorReuse:
     def test_matches_refactoring_at_every_iteration(self, monkeypatch):
         path = self.run()
         monkeypatch.setattr(LaggedLU, "solve",
-                            lambda self, matrix, rhs: solve_direct(matrix, rhs)[0])
+                            lambda self, matrix, rhs, atol:
+                            solve_direct(matrix, rhs)[0])
         calls = count_factorizations(monkeypatch)
         reference = self.run()
         assert len(calls) == reference.total_iters
@@ -354,6 +397,39 @@ class TestFactorReuse:
         s1, s2 = self.run().final_state, self.run().final_state
         assert np.array_equal(s1.u, s2.u) and np.array_equal(s1.m, s2.m)
 
+    def test_two_level_run_matches_refactoring_at_every_iteration(
+            self, monkeypatch):
+        models = default_models(TorusGrid(2, 64))
+        with monkeypatch.context() as patch:
+            fine = count_gmres_iterations(patch, 2 * 64**2)
+            path = continuation_run(models)
+        assert [s.n for s in path.steps] == [32, 32, 64]
+
+        def refactor(self, matrix, rhs, atol):
+            x, self.factor = solve_direct(matrix, rhs, self.grid)
+            return x
+        with monkeypatch.context() as patch:
+            patch.setattr(LaggedLU, "solve", refactor)
+            calls = count_factorizations(patch)
+            reference = continuation_run(models)
+        assert len(calls) == reference.total_iters
+        assert path.lambdas == reference.lambdas
+        assert [s.iters for s in path.steps] == [s.iters
+                                                 for s in reference.steps]
+        final, ref = path.final_state, reference.final_state
+        assert np.max(np.abs(final.u - ref.u)) <= 1e-10
+        assert np.max(np.abs(final.m - ref.m)) <= 1e-10
+        # the last fine solve stops at the Newton threshold, not at 1e-10
+        # of its small right-hand side
+        real = LaggedLU.solve
+        monkeypatch.setattr(
+            LaggedLU, "solve",
+            lambda self, matrix, rhs, atol: real(self, matrix, rhs, 0.0))
+        at_zero = count_gmres_iterations(monkeypatch, 2 * 64**2)
+        assert continuation_run(models).lambdas == path.lambdas
+        assert len(fine) == len(at_zero) == path.steps[-1].iters
+        assert fine[-1] < at_zero[-1]
+
     @pytest.mark.parametrize("n", [8, 12])
     def test_smallest_2d_grids_hold_the_factor_too(self, n, monkeypatch):
         models = default_models(TorusGrid(2, n))
@@ -362,7 +438,8 @@ class TestFactorReuse:
         assert path.reached_one and path.lambdas == [0.0, 1.0]
         assert len(calls) == 1 < path.total_iters
         monkeypatch.setattr(LaggedLU, "solve",
-                            lambda self, matrix, rhs: solve_direct(matrix, rhs)[0])
+                            lambda self, matrix, rhs, atol:
+                            solve_direct(matrix, rhs)[0])
         reference = continuation_run(models)
         assert reference.lambdas == [0.0, 1.0]
         final, ref = path.final_state, reference.final_state
@@ -781,15 +858,8 @@ class TestTwoLevel:
         assert [s.n for s in path.steps] == [64, 64]
 
     def test_fine_gmres_takes_at_most_nine_iterations(self, monkeypatch):
-        iterations = []
-        real = solver.gmres
-
-        def counted(matvec, precond, rhs, max_iters, tol):
-            x, k, estimate = real(matvec, precond, rhs, max_iters, tol)
-            if rhs.size == 2 * self.FINE.npoints:
-                iterations.append(k)
-            return x, k, estimate
-        monkeypatch.setattr(solver, "gmres", counted)
+        iterations = count_gmres_iterations(monkeypatch,
+                                            2 * self.FINE.npoints)
         calls = count_factorizations(monkeypatch)
         path = continuation_run(default_models(self.FINE))
         assert [s.n for s in path.steps] == [32, 32, 64]
