@@ -182,12 +182,41 @@ def cmd_validate(cfg: RunConfig, fields_dir: str, out_dir: str | None = None) ->
 
 
 def _csv_value(v) -> str:
-    """A sweep.csv cell: like format_json, but nan stays an unquoted nan."""
+    """A sweep.csv cell: like format_json, but nan stays an unquoted nan
+    and a string is written bare."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int):
+    if isinstance(v, (int, str)):
         return str(v)
     return f"{v:.17g}"
+
+
+def _sweep_guess(alpha: float, line, last):
+    """(start, guess) of a sweep pair at `alpha`.
+
+    `line` lists the (alpha, final state) of the last two pairs solved
+    on the pair's gamma line, in visiting order, and `last` is the final
+    state of the last pair solved anywhere (None before the first).  The
+    guess is the secant extrapolation through the last two entries of
+    `line` (a predictor along the line, as in Allgower & Georg,
+    Numerical Continuation Methods, 1990), unless their alphas are equal
+    or the predicted density reaches the solver's positivity floor; then
+    it is `last` itself.
+    """
+    from .solver import MIN_M_FLOOR
+
+    if len(line) == 2:
+        (a0, s0), (a1, s1) = line
+        if a1 != a0:
+            w = (alpha - a1) / (a1 - a0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = s1.u + w * (s1.u - s0.u)
+                m = s1.m + w * (s1.m - s0.m)
+            if np.all(np.isfinite(u)) and float(np.min(m)) > MIN_M_FLOOR:
+                return "secant", MFGState(s1.grid, u, m, 1.0)
+    if last is None:
+        return "continuation", None
+    return "neighbour", last
 
 
 def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
@@ -200,32 +229,40 @@ def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
     _, base, tol, step_min = build_setup(cfg)
     out = out_dir or cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    rows = []
-    for gamma in gamma_list:
-        for alpha in alpha_list:
+    # pairs are visited in snake order, alpha reversed on every other
+    # gamma, so each pair follows a neighbour; rows stay gamma-major
+    table = {}
+    last = None
+    alphas = list(enumerate(alpha_list))
+    for gi, gamma in enumerate(gamma_list):
+        line = []
+        for ai, alpha in (alphas if gi % 2 == 0 else reversed(alphas)):
             adm = check_parameter_admissibility(gamma, alpha, cfg.grid_d)
-            attempt = adm.admissible or override
-            row = {"gamma": gamma, "alpha": alpha,
-                   "admissible": adm.admissible, "reached_one": False,
-                   "iters_total": 0, "min_m": float("nan"),
-                   "energy_residual": float("nan")}
-            if attempt:
-                try:
-                    models = dataclasses.replace(base, gamma=gamma,
-                                                 alpha=alpha)
-                except ValueError as exc:
-                    print(f"sweep pair gamma={gamma:g} alpha={alpha:g} "
-                          f"failed to set up: {exc}", file=sys.stderr)
-                    rows.append(row)
-                    continue
-                path = continuation_run(models, tol, step_min)
-                row["reached_one"] = path.reached_one
-                row["iters_total"] = path.total_iters
-                row["min_m"] = min(s.min_m for s in path.steps)
-                if path.reached_one:
-                    row["energy_residual"] = energy_identity(
-                        path.final_state, models)[2]
-            rows.append(row)
+            row = table[gi, ai] = {
+                "gamma": gamma, "alpha": alpha, "admissible": adm.admissible,
+                "reached_one": False, "iters_total": 0,
+                "min_m": float("nan"), "energy_residual": float("nan"),
+                "start": "none"}
+            if not (adm.admissible or override):
+                continue
+            try:
+                models = dataclasses.replace(base, gamma=gamma, alpha=alpha)
+            except ValueError as exc:
+                print(f"sweep pair gamma={gamma:g} alpha={alpha:g} "
+                      f"failed to set up: {exc}", file=sys.stderr)
+                continue
+            start, guess = _sweep_guess(alpha, line, last)
+            path = continuation_run(models, tol, step_min, guess=guess)
+            # a path that began at its guess begins at lam = 1
+            row["start"] = start if path.steps[0].lam == 1.0 else "continuation"
+            row["reached_one"] = path.reached_one
+            row["iters_total"] = path.total_iters
+            row["min_m"] = min(s.min_m for s in path.steps)
+            if path.reached_one:
+                last = path.final_state
+                line = [*line[-1:], (alpha, last)]
+                row["energy_residual"] = energy_identity(last, models)[2]
+    rows = [table[key] for key in sorted(table)]
 
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write(",".join(rows[0]) + "\n")

@@ -8,6 +8,11 @@ increment and an accepted one doubles it (step-length bisection, as in
 Allgower & Georg, Numerical Continuation Methods, 1990), down to
 `continuation.step_min`, below which the run stops short.  Density
 positivity is enforced inside the line search, never by projecting m.
+A caller that holds a solution of a nearby system (`mfglab sweep`, from
+the pairs it has solved) may pass it as a guess: on the single-level
+path one Newton solve at lam = 1 from it is tried first, so a path may
+begin at its guess's lam = 1 step, and the continuation from lam = 0
+runs only if that solve fails.
 
 Each Newton system J delta = -F is solved by one linear solver type,
 `LaggedLU`: right-preconditioned GMRES that applies the exact Jacobian
@@ -175,7 +180,8 @@ class NewtonResult:
 @dataclass
 class SolvePath:
     """The accepted steps of a continuation run from its lam = 0 state,
-    and the message of its last rejected corrector attempt (`reason`).
+    or the one lam = 1 step of a run that started at its guess, and the
+    message of its last rejected corrector attempt (`reason`).
     """
 
     steps: list[NewtonResult]
@@ -629,20 +635,29 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
 
 def continuation_run(models: MFGModels, tol: float = RunConfig.newton_tol,
                      step_min: float = RunConfig.continuation_step_min,
-                     log=None) -> SolvePath:
-    """Follow the solution branch from lam = 0 to lam = 1.
+                     log=None, guess: MFGState | None = None) -> SolvePath:
+    """Follow the solution branch from lam = 0 to lam = 1, or start at a guess.
 
-    The first attempt targets lam = 1 directly.  Each attempt goes from
-    the last accepted lam to min(1, lam + step); a rejected attempt
-    halves the length it tried, an accepted one doubles the step, and
-    the run stops short once the halved length is below `step_min`.
+    Given a `guess` on a grid that takes the single-level path, whose
+    density is above MIN_M_FLOOR, the run first makes one Newton solve at
+    lam = 1 from it; if that converges, the returned path is that one
+    step.  If it fails, or no guess is given, the continuation runs from
+    the lam = 0 root, exactly as without a guess.
+
+    The first attempt of the continuation targets lam = 1 directly.
+    Each attempt goes from the last accepted lam to min(1, lam + step);
+    a rejected attempt halves the length it tried, an accepted one
+    doubles the step, and the run stops short once the halved length is
+    below `step_min`.
 
     Returns a SolvePath, whose status says whether it reached lam = 1; a
     corrector failure is carried in its `reason`, never raised.  One
     LaggedLU serves every corrector call on one grid.
 
     2D grids with even n and n / 2 >= TWO_LEVEL_MIN_COARSE_N are first
-    tried by `two_level_run`; if that falls back (returns None), the
+    tried by `two_level_run`, and ignore the guess: a Newton solve on the
+    fine grid from it would factor the fine Jacobian, which the
+    two-level path avoids.  If that path falls back (returns None), the
     continuation runs on the grid itself.  `log` receives each step's
     log line: as the step is accepted, or, on the two-level path, once
     that path has succeeded.
@@ -650,15 +665,21 @@ def continuation_run(models: MFGModels, tol: float = RunConfig.newton_tol,
     if not 0.0 < step_min <= 1.0:
         raise ValueError(f"need 0 < step_min <= 1, got {step_min}")
     grid = models.grid
+    path = None
     if (grid.d == 2 and grid.n % 2 == 0
             and grid.n // 2 >= TWO_LEVEL_MIN_COARSE_N):
         path = two_level_run(models, tol, step_min)
-        if path is not None:
-            if log is not None:
-                for line in path.log_lines():
-                    log(line)
-            return path
-    return _continue(models, tol, step_min, LaggedLU(grid), log)
+    elif guess is not None and float(np.min(guess.m)) > MIN_M_FLOOR:
+        try:
+            path = SolvePath([newton_solve(guess, 1.0, models, tol)])
+        except SolverError:
+            pass
+    if path is None:
+        return _continue(models, tol, step_min, LaggedLU(grid), log)
+    if log is not None:
+        for line in path.log_lines():
+            log(line)
+    return path
 
 
 def two_level_run(models: MFGModels, tol: float,

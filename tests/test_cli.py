@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, files, config round-trip."""
 
+import csv
 import json
 import math
 import os
@@ -427,7 +428,7 @@ class TestSweepCommand:
         with open(os.path.join(out, "sweep.csv")) as fh:
             rows = fh.read().splitlines()
         assert rows[0] == ("gamma,alpha,admissible,reached_one,iters_total,"
-                           "min_m,energy_residual")
+                           "min_m,energy_residual,start")
         assert len(rows) == 5
         for row in rows[1:]:
             cells = row.split(",")
@@ -541,11 +542,181 @@ class TestSweepCommand:
         assert main(["sweep", "--config", fast_config, "--out", out,
                      "--gamma", "1.1,1.25", "--alpha", "0.5"]) == 0
         with open(os.path.join(out, "sweep.csv")) as fh:
-            rows = fh.read().splitlines()[1:]
+            rows = list(csv.DictReader(fh))
         assert len(finals) == len(rows) == 2
         for row, (state, models) in zip(rows, finals):
-            written = float(row.split(",")[-1])
+            written = float(row["energy_residual"])
             assert written == estimate_suite(state, models).energy_identity_residual
+
+    @staticmethod
+    def capture_finals(monkeypatch) -> dict:
+        """The final state of every solved pair, by (gamma, alpha), as the
+        sweep hands it to `energy_identity`."""
+        from mfglab import cli
+
+        finals = {}
+        certificate = cli.energy_identity
+
+        def energy_identity(state, models):
+            finals[models.gamma, models.alpha] = (state, models)
+            return certificate(state, models)
+        monkeypatch.setattr(cli, "energy_identity", energy_identity)
+        return finals
+
+    @staticmethod
+    def record_runs(monkeypatch) -> list:
+        """(gamma, alpha, guess) of every `continuation_run` call, in order."""
+        from mfglab import solver
+
+        runs = []
+        real = solver.continuation_run
+
+        def recorded(models, *args, guess=None):
+            runs.append((models.gamma, models.alpha, guess))
+            return real(models, *args, guess=guess)
+        monkeypatch.setattr(solver, "continuation_run", recorded)
+        return runs
+
+    def test_warm_started_pairs_match_cold_continuations(self, tmp_path,
+                                                         monkeypatch):
+        from mfglab.solver import continuation_run
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid.d = 1\ngrid.n = 64\n")
+        finals = self.capture_finals(monkeypatch)
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--config", str(cfg), "--out", out,
+                     "--gamma", "1.1,1.15,1.2",
+                     "--alpha", "0.25,0.5,0.75"]) == 0
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        # snake order: the first pair is cold, each gamma line's first two
+        # pairs start at the last solved pair, its third at the secant
+        assert [r["start"] for r in rows] == [
+            "continuation", "neighbour", "secant",
+            "secant", "neighbour", "neighbour",
+            "neighbour", "neighbour", "secant"]
+        assert all(r["reached_one"] == "true" for r in rows)
+        assert len(finals) == 9
+        for state, models in finals.values():
+            cold = continuation_run(models).final_state
+            scale = max(np.abs(cold.u).max(), np.abs(cold.m).max())
+            assert np.abs(state.u - cold.u).max() <= 1e-10 * scale
+            assert np.abs(state.m - cold.m).max() <= 1e-10 * scale
+
+    def test_pairs_are_visited_in_snake_order(self, fast_config, tmp_path,
+                                              monkeypatch):
+        runs = self.record_runs(monkeypatch)
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--config", fast_config, "--out", out,
+                     "--gamma", "1.1,1.25", "--alpha", "0.25,0.5,1.0"]) == 0
+        assert [(g, a) for g, a, _ in runs] == [
+            (1.1, 0.25), (1.1, 0.5), (1.1, 1.0),
+            (1.25, 1.0), (1.25, 0.5), (1.25, 0.25)]
+        assert runs[0][2] is None
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(float(r["gamma"]), float(r["alpha"])) for r in rows] == [
+            (1.1, 0.25), (1.1, 0.5), (1.1, 1.0),
+            (1.25, 0.25), (1.25, 0.5), (1.25, 1.0)]
+
+    def test_duplicate_alphas_start_at_the_neighbour(self, fast_config,
+                                                     tmp_path):
+        out = str(tmp_path / "sweep")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", fast_config, "--out", out,
+                         "--gamma", "1.25", "--alpha", "0.5,0.5,1.0"]) == 0
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["start"] for r in rows] == [
+            "continuation", "neighbour", "neighbour"]
+        assert all(r["reached_one"] == "true" for r in rows)
+
+    def test_secant_passes_over_a_skipped_pair(self, fast_config, tmp_path,
+                                               monkeypatch):
+        # alpha = 2 is inadmissible at gamma = 1.25 (alpha_max = 1.5)
+        finals = self.capture_finals(monkeypatch)
+        runs = self.record_runs(monkeypatch)
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--config", fast_config, "--out", out,
+                     "--gamma", "1.25", "--alpha", "0.5,2.0,1.0,1.25"]) == 0
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["start"] for r in rows] == [
+            "continuation", "none", "neighbour", "secant"]
+        assert [a for _, a, _ in runs] == [0.5, 1.0, 1.25]
+        s0, s1 = finals[1.25, 0.5][0], finals[1.25, 1.0][0]
+        guess = runs[-1][2]
+        # w = (1.25 - 1.0) / (1.0 - 0.5)
+        assert np.array_equal(guess.u, s1.u + 0.5 * (s1.u - s0.u))
+        assert np.array_equal(guess.m, s1.m + 0.5 * (s1.m - s0.m))
+
+    def test_pair_whose_guess_fails_reads_continuation(self, fast_config,
+                                                       tmp_path, monkeypatch):
+        from mfglab import solver
+        from mfglab.solver import continuation_run
+
+        real = solver.newton_solve
+
+        def guess_fails(init, lam, *args):
+            # only a guess starts a Newton solve at lam = 1
+            if init.lam == 1.0:
+                raise solver.NewtonDivergenceError("forced failure")
+            return real(init, lam, *args)
+        finals = self.capture_finals(monkeypatch)
+        monkeypatch.setattr(solver, "newton_solve", guess_fails)
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--config", fast_config, "--out", out,
+                     "--gamma", "1.1,1.25", "--alpha", "0.5,1.0"]) == 0
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["start"] for r in rows] == ["continuation"] * 4
+        for r in rows:
+            models = finals[float(r["gamma"]), float(r["alpha"])][1]
+            assert int(r["iters_total"]) == continuation_run(models).total_iters
+
+    def test_secant_density_at_the_floor_starts_at_the_neighbour(self):
+        from mfglab import cli
+        from mfglab.system import MFGState
+
+        grid = TorusGrid(1, 8)
+        u = np.zeros(8)
+        m0 = np.ones(8)
+        m1 = np.linspace(0.5, 1.5, 8)
+        s0, s1 = MFGState(grid, u, m0, 1.0), MFGState(grid, u, m1, 1.0)
+        line = [(0.5, s0), (1.0, s1)]
+        # the secant to alpha = 1.5 predicts m = 2 m1 - m0, min m = 0
+        assert cli._sweep_guess(1.5, line, s1) == ("neighbour", s1)
+        start, guess = cli._sweep_guess(1.25, line, s1)
+        assert start == "secant" and np.min(guess.m) == 0.25
+        assert cli._sweep_guess(1.5, [], None) == ("continuation", None)
+        # alphas one subnormal apart: w = inf, and inf * 0 is nan
+        tiny = [(5e-324, s0), (1e-323, s1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli._sweep_guess(1.0, tiny, s1) == ("neighbour", s1)
+
+    def test_low_density_sweep_reaches_one_from_its_neighbours(
+            self, tmp_path):
+        import time
+
+        cfg = tmp_path / "lowdens.cfg"
+        cfg.write_text("grid.d = 1\ngrid.n = 256\n"
+                       "potential.b = fourier:0,0,1e4\n")
+        out = str(tmp_path / "sweep")
+        start = time.perf_counter()
+        assert main(["sweep", "--config", str(cfg), "--out", out,
+                     "--gamma", "1.8,1.85,1.9",
+                     "--alpha", "0.01,0.02,0.03"]) == 0
+        elapsed = time.perf_counter() - start
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9
+        assert all(r["reached_one"] == "true" for r in rows)
+        # cold continuations from lam = 0 take 469 iterations on these pairs
+        assert sum(int(r["iters_total"]) for r in rows) <= 120
+        assert elapsed < 1.0
 
 
 class TestCommandFlags:

@@ -715,6 +715,91 @@ class TestContinuation:
             pytest.approx(path.steps[-1].residual_norm, rel=1e-12)
 
 
+class TestGuess:
+    """`continuation_run(guess=...)`: one Newton solve at lam = 1 from the
+    guess, and the continuation from lam = 0 whenever that cannot be used."""
+
+    @staticmethod
+    def assert_same_path(path, reference):
+        assert path.lambdas == reference.lambdas
+        assert [s.n for s in path.steps] == [s.n for s in reference.steps]
+        assert [s.iters for s in path.steps] == \
+            [s.iters for s in reference.steps]
+        assert np.array_equal(path.final_state.u, reference.final_state.u)
+        assert np.array_equal(path.final_state.m, reference.final_state.m)
+
+    @staticmethod
+    def record_guess_solves(monkeypatch, guess, fail: bool = False) -> list:
+        """Count the Newton solves started from `guess` (failing them if
+        `fail`); the others run as usual."""
+        calls = []
+        real = solver.newton_solve
+
+        def recorded(init, lam, *args):
+            if init is guess:
+                calls.append(lam)
+                if fail:
+                    raise NewtonDivergenceError("forced failure")
+            return real(init, lam, *args)
+        monkeypatch.setattr(solver, "newton_solve", recorded)
+        return calls
+
+    def test_solution_as_guess_is_one_step_of_no_iterations(self):
+        models = default_models(TorusGrid(1, 64))
+        solution = continuation_run(models).final_state
+        lines = []
+        path = continuation_run(models, guess=solution, log=lines.append)
+        assert path.reached_one and path.lambdas == [1.0]
+        assert path.total_iters == 0 and path.reason == ""
+        assert lines == path.log_lines()
+        assert np.array_equal(path.final_state.u, solution.u)
+        assert np.array_equal(path.final_state.m, solution.m)
+
+    def test_nearby_guess_reaches_the_cold_solution(self):
+        grid = TorusGrid(1, 64)
+        guess = continuation_run(default_models(grid, alpha=0.5)).final_state
+        models = default_models(grid)
+        path = continuation_run(models, guess=guess)
+        cold = continuation_run(models).final_state
+        assert path.lambdas == [1.0] and path.total_iters > 0
+        scale = max(np.abs(cold.u).max(), np.abs(cold.m).max())
+        assert np.abs(path.final_state.u - cold.u).max() <= 1e-10 * scale
+        assert np.abs(path.final_state.m - cold.m).max() <= 1e-10 * scale
+
+    def test_guess_with_density_at_the_floor_is_not_tried(self, monkeypatch):
+        models = default_models(TorusGrid(1, 64))
+        reference = continuation_run(models)
+        solution = reference.final_state
+        m = solution.m.copy()
+        m[7] = solver.MIN_M_FLOOR
+        guess = MFGState(solution.grid, solution.u, m, 1.0)
+        calls = self.record_guess_solves(monkeypatch, guess)
+        self.assert_same_path(continuation_run(models, guess=guess),
+                              reference)
+        assert calls == []
+
+    def test_failed_guess_runs_the_continuation(self, monkeypatch):
+        models = default_models(TorusGrid(1, 64))
+        reference = continuation_run(models)
+        guess = reference.final_state
+        calls = self.record_guess_solves(monkeypatch, guess, fail=True)
+        path = continuation_run(models, guess=guess)
+        assert calls == [1.0]
+        self.assert_same_path(path, reference)
+        assert path.steps[0].lam == 0.0
+
+    def test_two_level_grid_ignores_the_guess(self, monkeypatch):
+        grid = TorusGrid(2, 64)
+        guess = continuation_run(default_models(grid, alpha=0.5)).final_state
+        models = default_models(grid)
+        reference = continuation_run(models)
+        calls = self.record_guess_solves(monkeypatch, guess)
+        path = continuation_run(models, guess=guess)
+        assert calls == []
+        assert [s.n for s in path.steps] == [32, 32, 64]
+        self.assert_same_path(path, reference)
+
+
 class TestFourierResample:
     @staticmethod
     def polynomial(grid: TorusGrid) -> np.ndarray:
