@@ -1,10 +1,11 @@
 """Flat `section.key = value` run configuration.
 
 The format is line oriented: one assignment per line, `#` starts a
-comment, blank lines are ignored.  Parsing and serialization round-trip
-losslessly on all recognized keys.  Every run setting has one source:
-each is a key here except the admissibility override, which only the
-`--override-admissibility` flag of `solve` and `sweep` sets.
+comment, blank lines are ignored.  Each key names one `RunConfig`
+field, and its value is parsed by that field's type; no command writes
+a config.  Every run setting has one source: each is a key here except
+the admissibility override, which only the `--override-admissibility`
+flag of `solve` and `sweep` sets.
 """
 
 import math
@@ -65,16 +66,6 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Emit the canonical text form (round-trips through parse)."""
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        rendered = f"{value:.17g}" if isinstance(value, float) else str(value)
-        lines.append(f"{_FIELD_TO_KEY[f.name]} = {rendered}")
-    return "\n".join(lines) + "\n"
 
 
 def validate_config(cfg: RunConfig) -> None:

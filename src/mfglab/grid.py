@@ -211,34 +211,28 @@ class ScalarField:
 
 # -- serialization ----------------------------------------------------
 #
-# Grid tables are CSV: a header, then one row per grid point in row-major
+# A field is CSV: a header, then one row per grid point in row-major
 # order, every number at 17 significant digits (float64 round-trips
 # exactly).  The writer formats the n axis coordinates once; for each
 # x1-line (the whole grid in 1D) it joins the rows' coordinate prefixes,
-# each followed by one `,%.17g` slot per column, into a printf template
-# and fills the line's values with one `%`.  '%.17g' and f"{v:.17g}"
-# format floats alike, so the bytes are those of per-cell formatting.
+# each followed by a `,%.17g` slot, into a printf template and fills the
+# line's values with one `%`.  '%.17g' and f"{v:.17g}" format floats
+# alike, so the bytes are those of per-cell formatting.
 
 _AXES = {1: "x", 2: "x,y"}
 
 
-def write_grid_table(path, grid: TorusGrid, names, columns) -> None:
-    """Write `x[,y],<names>` rows, one column of grid.npoints per name."""
-    axis = [f"{c:.17g}" for c in grid.axis().tolist()]
-    tails = [c + ",%.17g" * len(names) + "\n" for c in axis]
-    prefixes = [""] if grid.d == 1 else [c + "," for c in axis]
-    lines = [np.asarray(c, dtype=float).reshape(len(prefixes), -1)
-             for c in columns]
-    with open(path, "w") as fh:
-        fh.write(",".join([_AXES[grid.d], *names]) + "\n")
-        for i, prefix in enumerate(prefixes):
-            values = np.column_stack([line[i] for line in lines]).ravel()
-            fh.write((prefix + prefix.join(tails)) % tuple(values.tolist()))
-
-
 def write_field_csv(field: ScalarField, path) -> None:
     """Write `x[,y],value` rows (row-major), 17 significant digits."""
-    write_grid_table(path, field.grid, ["value"], [field.values])
+    grid = field.grid
+    axis = [f"{c:.17g}" for c in grid.axis().tolist()]
+    tails = [c + ",%.17g\n" for c in axis]
+    prefixes = [""] if grid.d == 1 else [c + "," for c in axis]
+    lines = field.values.reshape(len(prefixes), -1)
+    with open(path, "w") as fh:
+        fh.write(_AXES[grid.d] + ",value\n")
+        for prefix, line in zip(prefixes, lines):
+            fh.write((prefix + prefix.join(tails)) % tuple(line.tolist()))
 
 
 def read_field_csv(path, grid: TorusGrid | None = None) -> ScalarField:

@@ -8,11 +8,17 @@ increment and an accepted one doubles it (step-length bisection, as in
 Allgower & Georg, Numerical Continuation Methods, 1990), down to
 `continuation.step_min`, below which the run stops short.  Density
 positivity is enforced inside the line search, never by projecting m.
-A caller that holds a solution of a nearby system (`mfglab sweep`, from
-the pairs it has solved) may pass it as a guess: on the single-level
-path one Newton solve at lam = 1 from it is tried first, so a path may
-begin at its guess's lam = 1 step, and the continuation from lam = 0
-runs only if that solve fails.
+
+A run first tries at most one start: a state from which one Newton
+solve at lam = 1 is made (a corrector step whose predictor is a known
+solution, as in Allgower & Georg).  On a two-level grid (below) the
+start is the prolonged solution of the half-resolution problem; on any
+other grid it is the caller's guess, if one is given (`mfglab sweep`
+passes one built from the pairs it has solved).  The start is tried
+only if its density is above MIN_M_FLOOR; if there is none, or its
+solve fails, the continuation runs from lam = 0 on the grid itself.  So
+a path is the guess's lam = 1 step, or the coarse steps followed by the
+fine lam = 1 step, or the continuation.
 
 Each Newton system J delta = -F is solved by one linear solver type,
 `LaggedLU`: right-preconditioned GMRES that applies the exact Jacobian
@@ -64,8 +70,10 @@ iteration.
 from the half-resolution solution (nested iteration, as in Briggs,
 Henson & McCormick, A Multigrid Tutorial, 2000).  The continuation runs
 on the n / 2 grid with a and b sampled at every other point; its
-lam = 1 state is prolonged by Fourier zero-padding, which keeps the
-mass; one Newton solve at lam = 1 on the fine grid finishes the run.
+lam = 1 state, prolonged by Fourier zero-padding, which keeps the mass,
+is the fine grid's start, and there is none if the coarse run stops
+short of lam = 1.  The fine grid ignores the caller's guess: a Newton
+solve from it would factor the fine Jacobian, which this path avoids.
 Its linear systems go through the same gated GMRES on the exact fine
 Jacobian: the fine grid's LaggedLU is given the coarse grid and the
 coarse run's held LU factor, and until it holds a factor of its own it
@@ -79,11 +87,8 @@ per pair of grid sizes, rather than by FFTs.  At 2D n = 64 one cycle
 then takes about 1.2 ms: 0.4 ms in the coarse triangular solves, 0.09
 ms in each of its four sparse products (the first sweep starts from
 x = 0 and needs none) and 0.03 ms in each transfer.  The fine Jacobian
-is factored only if that solve misses the gate.  If the coarse run
-stops short of lam = 1, the prolonged density reaches the positivity
-floor or the fine solve fails, the continuation runs on the fine grid
-itself.  At 2D n = 64 the only factor is then the coarse one, with 270k
-entries against 1.48M.
+is factored only if that solve misses the gate, so at 2D n = 64 the
+only factor is usually the coarse one, with 270k entries against 1.48M.
 """
 
 from __future__ import annotations
@@ -116,8 +121,8 @@ BACKWARD_ERROR_GATE = 1e-10
 # SuperLU column ordering: minimum degree on the pattern of A + A^T
 PERMC_SPEC = "MMD_AT_PLUS_A"
 KRYLOV_MAX_ITERS = 20
-# 2D grids with even n and n / 2 at least this are solved from the n / 2
-# solution (`two_level_run`).  On one core of a 2-vCPU Xeon (medians of
+# 2D grids with even n and n / 2 at least this start from the n / 2
+# solution (`_coarse_start`).  On one core of a 2-vCPU Xeon (medians of
 # alternated runs), the default 2D n = 64 problem then takes 0.072 s
 # against 0.18 s on the grid itself.  At n = 32 (coarse n = 16) two
 # levels would take 24 ms against 34 ms, but 2D n = 32 is kept on the
@@ -179,9 +184,11 @@ class NewtonResult:
 
 @dataclass
 class SolvePath:
-    """The accepted steps of a continuation run from its lam = 0 state,
-    or the one lam = 1 step of a run that started at its guess, and the
-    message of its last rejected corrector attempt (`reason`).
+    """The accepted steps of a run, and the message of its last rejected
+    corrector attempt (`reason`).
+
+    The steps are the guess's lam = 1 step, or the coarse steps followed
+    by the fine lam = 1 step, or the continuation from the lam = 0 state.
     """
 
     steps: list[NewtonResult]
@@ -636,13 +643,16 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
 def continuation_run(models: MFGModels, tol: float = RunConfig.newton_tol,
                      step_min: float = RunConfig.continuation_step_min,
                      log=None, guess: MFGState | None = None) -> SolvePath:
-    """Follow the solution branch from lam = 0 to lam = 1, or start at a guess.
+    """Follow the solution branch from lam = 0 to lam = 1, or start nearer.
 
-    Given a `guess` on a grid that takes the single-level path, whose
-    density is above MIN_M_FLOOR, the run first makes one Newton solve at
-    lam = 1 from it; if that converges, the returned path is that one
-    step.  If it fails, or no guess is given, the continuation runs from
-    the lam = 0 root, exactly as without a guess.
+    The run has at most one start: on 2D grids with even n and
+    n / 2 >= TWO_LEVEL_MIN_COARSE_N, the prolonged n / 2 solution of
+    `_coarse_start`, which replaces the guess; on any other grid, the
+    `guess`.  If the start's density is above MIN_M_FLOOR, one Newton
+    solve at lam = 1 from it is made, and if that converges the path is
+    the start's steps followed by that one.  Otherwise the continuation
+    runs from the lam = 0 root with a fresh LaggedLU, exactly as without
+    a start.
 
     The first attempt of the continuation targets lam = 1 directly.
     Each attempt goes from the last accepted lam to min(1, lam + step);
@@ -652,50 +662,42 @@ def continuation_run(models: MFGModels, tol: float = RunConfig.newton_tol,
 
     Returns a SolvePath, whose status says whether it reached lam = 1; a
     corrector failure is carried in its `reason`, never raised.  One
-    LaggedLU serves every corrector call on one grid.
-
-    2D grids with even n and n / 2 >= TWO_LEVEL_MIN_COARSE_N are first
-    tried by `two_level_run`, and ignore the guess: a Newton solve on the
-    fine grid from it would factor the fine Jacobian, which the
-    two-level path avoids.  If that path falls back (returns None), the
-    continuation runs on the grid itself.  `log` receives each step's
-    log line: as the step is accepted, or, on the two-level path, once
-    that path has succeeded.
+    LaggedLU serves every corrector call on one grid.  `log` receives
+    each step's log line: as the continuation accepts the step, or, when
+    the start's solve converges, once for every step of the path.
     """
     if not 0.0 < step_min <= 1.0:
         raise ValueError(f"need 0 < step_min <= 1, got {step_min}")
     grid = models.grid
-    path = None
+    steps, start, linear = [], guess, LaggedLU(grid)
     if (grid.d == 2 and grid.n % 2 == 0
             and grid.n // 2 >= TWO_LEVEL_MIN_COARSE_N):
-        path = two_level_run(models, tol, step_min)
-    elif guess is not None and float(np.min(guess.m)) > MIN_M_FLOOR:
+        steps, start, linear = _coarse_start(models, tol, step_min)
+    if start is not None and float(np.min(start.m)) > MIN_M_FLOOR:
         try:
-            path = SolvePath([newton_solve(guess, 1.0, models, tol)])
+            step = newton_solve(start, 1.0, models, tol, linear)
         except SolverError:
             pass
-    if path is None:
-        return _continue(models, tol, step_min, LaggedLU(grid), log)
-    if log is not None:
-        for line in path.log_lines():
-            log(line)
-    return path
+        else:
+            path = SolvePath([*steps, step])
+            if log is not None:
+                for line in path.log_lines():
+                    log(line)
+            return path
+    return _continue(models, tol, step_min, LaggedLU(grid), log)
 
 
-def two_level_run(models: MFGModels, tol: float,
-                  step_min: float) -> SolvePath | None:
-    """Solve on the n / 2 grid, then finish with one Newton solve at lam = 1.
+def _coarse_start(models: MFGModels, tol: float, step_min: float):
+    """(coarse steps, start, linear solver) of a two-level run.
 
     The coarse problem samples a and b at every other point (injection)
     and is followed from lam = 0 to 1 by the continuation; its lam = 1
-    state is prolonged by `fourier_resample`, which keeps the mass.  The
-    fine Newton solve uses a LaggedLU given the coarse grid and the
-    coarse run's held factor, so the fine Jacobian is factored only if a
-    two-grid GMRES solve misses the gate.  The returned path holds the
-    coarse steps, each state on the coarse grid, then the fine lam = 1
-    step.  Returns None when the coarse run stops short of lam = 1 or
-    holds no factor, when the prolonged density is at or below the
-    positivity floor, or when the fine solve fails.
+    state, prolonged by `fourier_resample`, which keeps the mass, is the
+    fine grid's start.  The linear solver is a fine LaggedLU given the
+    coarse grid and the coarse run's held factor, so the fine Jacobian
+    is factored only if a two-grid GMRES solve misses the gate.  Each
+    coarse step's state is on the coarse grid.  Returns ([], None, None)
+    when the coarse run stops short of lam = 1 or holds no factor.
     """
     fine = models.grid
     coarse = TorusGrid(fine.d, fine.n // 2)
@@ -709,18 +711,11 @@ def two_level_run(models: MFGModels, tol: float,
     linear = LaggedLU(coarse)
     path = _continue(coarse_models, tol, step_min, linear)
     if not path.reached_one or linear.factor is None:
-        return None
+        return [], None, None
     top = path.final_state
     u, m = fourier_resample(np.stack([top.u, top.m]), coarse, fine)
-    if float(np.min(m)) <= MIN_M_FLOOR:
-        return None
-    try:
-        result = newton_solve(MFGState(fine, u, m, 1.0), 1.0, models, tol,
-                              LaggedLU(fine, (coarse, linear.factor)))
-    except SolverError:
-        return None
-    path.steps.append(result)
-    return path
+    return (path.steps, MFGState(fine, u, m, 1.0),
+            LaggedLU(fine, (coarse, linear.factor)))
 
 
 def _continue(models: MFGModels, tol: float, step_min: float,

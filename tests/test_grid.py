@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from mfglab.grid import (ScalarField, TorusGrid, _shift, pointwise_dot,
-                         pointwise_form, read_field_csv, write_field_csv,
-                         write_grid_table)
+                         pointwise_form, read_field_csv, write_field_csv)
 
 # values whose 17-digit text is easy to get wrong: signed zero, the
 # smallest subnormal, both ends of the exponent range, non-finite values
@@ -295,14 +294,6 @@ class TestFieldSerialization:
         path = tmp_path / "f.csv"
         write_field_csv(ScalarField(grid, values), path)
         assert table_lines(path) == reference_table(grid, ["value"], [values])
-
-    @pytest.mark.parametrize("grid", SERIALIZATION_GRIDS)
-    def test_two_column_table_bytes_match_per_cell_formatting(self, grid,
-                                                              tmp_path):
-        u, m = special_column(grid, 4), special_column(grid, 5)
-        path = tmp_path / "t.csv"
-        write_grid_table(path, grid, ["u", "m"], [u, m])
-        assert table_lines(path) == reference_table(grid, ["u", "m"], [u, m])
 
     def test_coordinates_carry_17_digits(self, tmp_path):
         grid = TorusGrid(2, 37)

@@ -11,6 +11,7 @@ from scipy.sparse.linalg import SuperLU, splu
 from helpers import (default_models, low_density_models, smooth_field,
                      two_dimensional_models)
 from mfglab import solver, system
+from mfglab.config import RunConfig
 from mfglab.grid import TorusGrid
 from mfglab.solver import (BandLU, LaggedLU, NewtonDivergenceError,
                            SingularSystemError, SolverError, backward_error,
@@ -799,6 +800,36 @@ class TestGuess:
         assert [s.n for s in path.steps] == [32, 32, 64]
         self.assert_same_path(path, reference)
 
+    def test_two_level_grid_ignores_the_guess_when_the_coarse_run_fails(
+            self, monkeypatch):
+        grid = TorusGrid(2, 64)
+        guess = continuation_run(default_models(grid, alpha=0.5)).final_state
+        models = default_models(grid)
+        real = solver.newton_solve
+
+        def coarse_fails(init, lam, *args):
+            if init.grid.n == 32:
+                raise NewtonDivergenceError("forced failure")
+            return real(init, lam, *args)
+        monkeypatch.setattr(solver, "newton_solve", coarse_fails)
+        reference = continuation_run(models)
+        calls = self.record_guess_solves(monkeypatch, guess)
+        path = continuation_run(models, guess=guess)
+        assert calls == []
+        assert path.reached_one and [s.n for s in path.steps] == [64, 64]
+        self.assert_same_path(path, reference)
+
+    # odd n, and an even n whose half is below TWO_LEVEL_MIN_COARSE_N
+    @pytest.mark.parametrize("n", [33, 62])
+    def test_single_level_2d_grid_tries_the_guess(self, n, monkeypatch):
+        grid = TorusGrid(2, n)
+        guess = continuation_run(default_models(grid, alpha=0.5)).final_state
+        calls = self.record_guess_solves(monkeypatch, guess)
+        path = continuation_run(default_models(grid), guess=guess)
+        assert calls == [1.0]
+        assert path.reached_one and path.lambdas == [1.0]
+        assert [s.n for s in path.steps] == [n]
+
 
 class TestFourierResample:
     @staticmethod
@@ -951,6 +982,43 @@ class TestTwoLevel:
         assert calls == [(2 * 32**2, 2 * 32**2)]  # no fine Jacobian factored
         assert len(iterations) == path.steps[-1].iters
         assert max(iterations) <= 9
+
+    def test_coarse_start_is_the_prolonged_coarse_solution(self):
+        models = default_models(self.FINE)
+        steps, start, linear = solver._coarse_start(
+            models, RunConfig.newton_tol, RunConfig.continuation_step_min)
+        assert [s.n for s in steps] == [32, 32]
+        assert [s.lam for s in steps] == [0.0, 1.0]
+        top = steps[-1].state
+        u, m = fourier_resample(np.stack([top.u, top.m]), top.grid, self.FINE)
+        assert start.grid == self.FINE and start.lam == 1.0
+        assert np.array_equal(start.u, u) and np.array_equal(start.m, m)
+        assert linear.grid == self.FINE and linear.factor is None
+        assert linear.coarse[0] == TorusGrid(2, 32)
+        assert linear.coarse[1] is not None
+        path = continuation_run(models)
+        for step, coarse_step in zip(path.steps, steps):
+            assert np.array_equal(step.state.u, coarse_step.state.u)
+            assert np.array_equal(step.state.m, coarse_step.state.m)
+
+    @pytest.mark.parametrize("stop", ["stops-short", "no-factor"])
+    def test_coarse_start_is_empty_without_a_solved_factored_coarse_run(
+            self, stop, monkeypatch):
+        real = solver.newton_solve
+
+        def coarse(init, lam, models, tol, linear):
+            if init.grid.n == 32 and stop == "stops-short":
+                raise NewtonDivergenceError("forced failure")
+            if init.grid.n == 32:  # solve without the shared LaggedLU
+                return real(init, lam, models, tol)
+            return real(init, lam, models, tol, linear)
+        monkeypatch.setattr(solver, "newton_solve", coarse)
+        models = default_models(self.FINE)
+        assert solver._coarse_start(
+            models, RunConfig.newton_tol,
+            RunConfig.continuation_step_min) == ([], None, None)
+        path = continuation_run(models)
+        assert path.reached_one and [s.n for s in path.steps] == [64, 64]
 
     def test_zero_start_cycle_equals_the_full_first_sweep(self):
         """The cycle skips the product with x = 0 and changes no bit."""
