@@ -9,16 +9,16 @@ Allgower & Georg, Numerical Continuation Methods, 1990), down to
 `continuation.step_min`, below which the run stops short.  Density
 positivity is enforced inside the line search, never by projecting m.
 
-A run first tries at most one start: a state from which one Newton
-solve at lam = 1 is made (a corrector step whose predictor is a known
-solution, as in Allgower & Georg).  On a two-level grid (below) the
-start is the prolonged solution of the half-resolution problem; on any
-other grid it is the caller's guess, if one is given (`mfglab sweep`
-passes one built from the pairs it has solved).  The start is tried
-only if its density is above MIN_M_FLOOR; if there is none, or its
-solve fails, the continuation runs from lam = 0 on the grid itself.  So
-a path is the guess's lam = 1 step, or the coarse steps followed by the
-fine lam = 1 step, or the continuation.
+A run first tries at most two starts in turn: states from which one
+Newton solve at lam = 1 is made (a corrector step whose predictor is a
+known solution, as in Allgower & Georg).  On a ladder grid (below) the
+first start is the prolonged solution of the half-resolution problem;
+on every grid the next is the caller's guess, if one is given (`mfglab
+sweep` passes one built from the pairs it has solved).  A start is
+tried only if its density is above MIN_M_FLOOR; if no start's solve
+converges, the continuation runs from lam = 0 on the grid itself.  So
+a path is the coarse steps followed by the fine lam = 1 step, or the
+guess's lam = 1 step, or the continuation.
 
 Each Newton system J delta = -F is solved by one linear solver type,
 `LaggedLU`: right-preconditioned GMRES that applies the exact Jacobian
@@ -68,27 +68,41 @@ iteration.
 
 2D grids with even n and n / 2 >= TWO_LEVEL_MIN_COARSE_N are solved
 from the half-resolution solution (nested iteration, as in Briggs,
-Henson & McCormick, A Multigrid Tutorial, 2000).  The continuation runs
-on the n / 2 grid with a and b sampled at every other point; its
-lam = 1 state, prolonged by Fourier zero-padding, which keeps the mass,
-is the fine grid's start, and there is none if the coarse run stops
-short of lam = 1.  The fine grid ignores the caller's guess: a Newton
-solve from it would factor the fine Jacobian, which this path avoids.
-Its linear systems go through the same gated GMRES on the exact fine
-Jacobian: the fine grid's LaggedLU is given the coarse grid and the
-coarse run's held LU factor, and until it holds a factor of its own it
-preconditions by a two-grid cycle, damped block-Jacobi sweeps on the
-2x2 (u_i, m_i) diagonal blocks around a coarse correction through that
-coarse factor (as in Achdou & Perez, Iterative strategies for solving
-linearized discrete mean field games systems, 2012).  The residual is
+Henson & McCormick, A Multigrid Tutorial, 2000), and so, recursively,
+is that n / 2 grid while it qualifies: a 2D n = 256 run climbs the
+ladder n = 16, 32, 64, 128, 256.  Each coarser level samples a and b at
+every other point of the level above.  The bottom of the ladder makes
+only the continuation's first attempt, the whole step from lam = 0 to
+1; each level above it prolongs the lam = 1 state of the level below by
+Fourier zero-padding, which keeps the mass, and makes one Newton solve
+at lam = 1 from it.  A level that gets no start, because the level
+below stopped short of lam = 1, or whose lam = 1 solve fails runs its
+own continuation from lam = 0, as a grid without a ladder does.  So on
+hard data, where the bottom's attempt fails, the level above the bottom
+runs the full continuation, and the bottom costs one rejected attempt on
+its small grid (about 0.05 s on the low-density data).  The top grid
+tries the caller's guess only after the ladder's start: a Newton solve
+from the guess factors the top Jacobian, which the ladder avoids.
+
+The linear systems of a level above the bottom go through the same
+gated GMRES on the exact Jacobian: its LaggedLU is given the level
+below and that level's coarse solve, and until it holds a factor of its
+own it preconditions by a two-grid cycle, damped block-Jacobi sweeps on
+the 2x2 (u_i, m_i) diagonal blocks around a coarse correction through
+that coarse solve (as in Achdou & Perez, Iterative strategies for
+solving linearized discrete mean field games systems, 2012).  The coarse
+solve is the `precond` of the level below's LaggedLU: its held LU
+factor, as the bottom's, or else the two-grid cycle of its last Newton
+system, so the cycles nest into a V-cycle whose only factor is the
+bottom's, and no Jacobian is assembled for it.  The residual is
 restricted and the correction prolonged by `fourier_resample`, which
 applies the Fourier transfer as small dense per-axis matrices, cached
-per pair of grid sizes, rather than by FFTs.  At 2D n = 64 one cycle
-then takes about 1.2 ms: 0.4 ms in the coarse triangular solves, 0.09
-ms in each of its four sparse products (the first sweep starts from
-x = 0 and needs none) and 0.03 ms in each transfer.  The fine Jacobian
-is factored only if that solve misses the gate, so at 2D n = 64 the
-only factor is usually the coarse one, with 270k entries against 1.48M.
+per pair of grid sizes, rather than by FFTs.  A level's Jacobian is
+factored only if its GMRES solve misses the gate, so on the default
+data the only factor at every size is the bottom's, of 512 unknowns at
+n = 16: at 2D n = 64 it fills 46k entries where the n = 32 factor of a
+two-level run filled 270k, and the top GMRES takes 9 and 5
+iterations in its two solves.
 """
 
 from __future__ import annotations
@@ -122,12 +136,13 @@ BACKWARD_ERROR_GATE = 1e-10
 PERMC_SPEC = "MMD_AT_PLUS_A"
 KRYLOV_MAX_ITERS = 20
 # 2D grids with even n and n / 2 at least this start from the n / 2
-# solution (`_coarse_start`).  On one core of a 2-vCPU Xeon (medians of
-# alternated runs), the default 2D n = 64 problem then takes 0.072 s
-# against 0.18 s on the grid itself.  At n = 32 (coarse n = 16) two
-# levels would take 24 ms against 34 ms, but 2D n = 32 is kept on the
-# single-level path, the grid on which that path is tested in 2D.
-TWO_LEVEL_MIN_COARSE_N = 32
+# solution (`_coarse_start`), down a ladder whose bottom is the first
+# level with odd n or n < 2 * TWO_LEVEL_MIN_COARSE_N.  On one core of a
+# 2-vCPU Xeon the default problem takes 0.012 s at 2D n = 32 (warm),
+# 0.56 s at n = 256 and 1.7-2.2 s at n = 512, against 0.018 s on the grid
+# itself and 1.6-1.7 s and 9.0 s on two levels with the continuation at
+# n / 2.
+TWO_LEVEL_MIN_COARSE_N = 16
 # block-Jacobi smoothing of `two_grid_cycle`: sweeps before and after the
 # coarse correction, and their damping
 SMOOTHING_SWEEPS = 2
@@ -323,9 +338,11 @@ class LaggedLU:
 
     `solve` runs GMRES on the exact matrix, right-preconditioned by the
     held factor if there is one, else by a two-grid cycle
-    (`two_grid_cycle`) through `coarse = (coarse_grid, coarse_factor)`,
-    an LU factor of a Jacobian of the same problem on that grid, if
-    given.  The Krylov solution is accepted once
+    (`two_grid_cycle`) through `coarse = (coarse_grid, coarse_solve)`, if
+    given, where the function `coarse_solve` applies an approximate
+    inverse of a Jacobian of the same problem on that grid: an LU
+    factor's solve, or that grid's own two-grid cycle.  The Krylov
+    solution is accepted once
     ||matrix x - rhs||_2 <= max(1e-10 ||rhs||_2, atol), where `atol` is
     the caller's absolute threshold (0 keeps the relative gate alone).
     Only if there is no preconditioner or the Krylov solution misses
@@ -334,24 +351,27 @@ class LaggedLU:
     new one is held unless it is a band factor, so 1D systems are always
     factored afresh and never read `atol`.  One instance serves a whole
     continuation run, so a factor outlives the Newton iteration that
-    made it.
+    made it.  `precond` is the held factor's solve if there is one, else
+    the last solve's two-grid cycle, else None: what a solved ladder
+    level hands up as the coarse solve of the level above.
     """
 
     def __init__(self, grid: TorusGrid | None = None, coarse=None) -> None:
         self.grid = grid
         self.coarse = coarse
         self.factor = None
+        self.precond = None
 
     def solve(self, matrix: sp.spmatrix, rhs: np.ndarray,
               atol: float = 0.0) -> np.ndarray:
         if self.factor is not None:
             precond = self.factor.solve
         elif self.coarse is not None:
-            coarse, coarse_factor = self.coarse
-            precond = two_grid_cycle(matrix, coarse_factor.solve, self.grid,
-                                     coarse)
+            coarse, coarse_solve = self.coarse
+            precond = two_grid_cycle(matrix, coarse_solve, self.grid, coarse)
         else:
             precond = None
+        self.precond = precond
         if precond is not None:
             gate = max(BACKWARD_ERROR_GATE * norm2(rhs), atol)
             # aim a decade below the gate: in floating point the true
@@ -364,6 +384,7 @@ class LaggedLU:
         x, factor = solve_direct(matrix, rhs, self.grid)
         if not isinstance(factor, BandLU):
             self.factor = factor
+            self.precond = factor.solve
         return x
 
 
@@ -645,14 +666,14 @@ def continuation_run(models: MFGModels, tol: float = RunConfig.newton_tol,
                      log=None, guess: MFGState | None = None) -> SolvePath:
     """Follow the solution branch from lam = 0 to lam = 1, or start nearer.
 
-    The run has at most one start: on 2D grids with even n and
-    n / 2 >= TWO_LEVEL_MIN_COARSE_N, the prolonged n / 2 solution of
-    `_coarse_start`, which replaces the guess; on any other grid, the
-    `guess`.  If the start's density is above MIN_M_FLOOR, one Newton
-    solve at lam = 1 from it is made, and if that converges the path is
-    the start's steps followed by that one.  Otherwise the continuation
-    runs from the lam = 0 root with a fresh LaggedLU, exactly as without
-    a start.
+    The run has at most two starts, tried in turn: on 2D grids with even
+    n and n / 2 >= TWO_LEVEL_MIN_COARSE_N, the prolonged n / 2 solution
+    of `_coarse_start`; then, on every grid, the `guess`.  For each start
+    whose density is above MIN_M_FLOOR one Newton solve at lam = 1 is
+    made (from the guess with a fresh LaggedLU), and the first that
+    converges ends the path: the start's steps followed by that one.
+    If none does, the continuation runs from the lam = 0 root with a
+    fresh LaggedLU, exactly as without a start.
 
     The first attempt of the continuation targets lam = 1 directly.
     Each attempt goes from the last accepted lam to min(1, lam + step);
@@ -668,36 +689,58 @@ def continuation_run(models: MFGModels, tol: float = RunConfig.newton_tol,
     """
     if not 0.0 < step_min <= 1.0:
         raise ValueError(f"need 0 < step_min <= 1, got {step_min}")
+    return _solve_level(models, tol, step_min, guess, log)[0]
+
+
+def _has_coarse_level(grid: TorusGrid) -> bool:
+    """Whether `continuation_run` starts `grid` from its n / 2 solution."""
+    return (grid.d == 2 and grid.n % 2 == 0
+            and grid.n // 2 >= TWO_LEVEL_MIN_COARSE_N)
+
+
+def _solve_level(models: MFGModels, tol: float, step_min: float,
+                 guess: MFGState | None = None, log=None):
+    """(path, linear solver) of `continuation_run` on the models' grid.
+
+    The linear solver is the LaggedLU that made the path's last step, so
+    the caller can read the preconditioner it holds."""
     grid = models.grid
-    steps, start, linear = [], guess, LaggedLU(grid)
-    if (grid.d == 2 and grid.n % 2 == 0
-            and grid.n // 2 >= TWO_LEVEL_MIN_COARSE_N):
-        steps, start, linear = _coarse_start(models, tol, step_min)
-    if start is not None and float(np.min(start.m)) > MIN_M_FLOOR:
+    starts = [([], guess, LaggedLU(grid))]
+    if _has_coarse_level(grid):
+        starts.insert(0, _coarse_start(models, tol, step_min))
+    for steps, start, linear in starts:
+        if start is None or float(np.min(start.m)) <= MIN_M_FLOOR:
+            continue
         try:
             step = newton_solve(start, 1.0, models, tol, linear)
         except SolverError:
-            pass
-        else:
-            path = SolvePath([*steps, step])
-            if log is not None:
-                for line in path.log_lines():
-                    log(line)
-            return path
-    return _continue(models, tol, step_min, LaggedLU(grid), log)
+            continue
+        path = SolvePath([*steps, step])
+        if log is not None:
+            for line in path.log_lines():
+                log(line)
+        return path, linear
+    linear = LaggedLU(grid)
+    return _continue(models, tol, step_min, linear, log), linear
 
 
 def _coarse_start(models: MFGModels, tol: float, step_min: float):
-    """(coarse steps, start, linear solver) of a two-level run.
+    """(coarse steps, start, linear solver) of a run through its n / 2 level.
 
-    The coarse problem samples a and b at every other point (injection)
-    and is followed from lam = 0 to 1 by the continuation; its lam = 1
+    The coarse problem samples a and b at every other point (injection).
+    If the n / 2 grid has a coarse level of its own it is solved as
+    `continuation_run` solves any grid, so the ladder recurses down to
+    the first grid that has none, its bottom; the bottom makes only the
+    continuation's first attempt, lam 0 -> 1, and if that fails the
+    level above runs its own continuation.  The n / 2 level's lam = 1
     state, prolonged by `fourier_resample`, which keeps the mass, is the
-    fine grid's start.  The linear solver is a fine LaggedLU given the
-    coarse grid and the coarse run's held factor, so the fine Jacobian
-    is factored only if a two-grid GMRES solve misses the gate.  Each
-    coarse step's state is on the coarse grid.  Returns ([], None, None)
-    when the coarse run stops short of lam = 1 or holds no factor.
+    start.  The linear solver is a LaggedLU given the coarse grid and
+    the `precond` of the coarse level's last LaggedLU: its held LU
+    factor, or else its last two-grid cycle, so no level above the
+    bottom is factored unless a GMRES solve misses the gate.  Each
+    coarse step's state is on its own grid.  Returns ([], None, None)
+    when the coarse level stops short of lam = 1, or solved no linear
+    system and so holds no preconditioner.
     """
     fine = models.grid
     coarse = TorusGrid(fine.d, fine.n // 2)
@@ -708,14 +751,17 @@ def _coarse_start(models: MFGModels, tol: float, step_min: float):
             fine.shape)[every_other].ravel()
     coarse_models = replace(models, grid=coarse, a=inject(models.a),
                             b=inject(models.b))
-    linear = LaggedLU(coarse)
-    path = _continue(coarse_models, tol, step_min, linear)
-    if not path.reached_one or linear.factor is None:
+    if _has_coarse_level(coarse):
+        path, linear = _solve_level(coarse_models, tol, step_min)
+    else:
+        linear = LaggedLU(coarse)
+        path = _continue(coarse_models, tol, 1.0, linear)
+    if not path.reached_one or linear.precond is None:
         return [], None, None
     top = path.final_state
     u, m = fourier_resample(np.stack([top.u, top.m]), coarse, fine)
     return (path.steps, MFGState(fine, u, m, 1.0),
-            LaggedLU(fine, (coarse, linear.factor)))
+            LaggedLU(fine, (coarse, linear.precond)))
 
 
 def _continue(models: MFGModels, tol: float, step_min: float,

@@ -22,6 +22,14 @@ def low_density_models(grid: TorusGrid) -> MFGModels:
                      coefficient_field(grid, "fourier:0,0,1e4"))
 
 
+def high_mode_models(grid: TorusGrid) -> MFGModels:
+    """Default data with b = 0.5 cos(2 pi x1) + 2 cos(2 pi 10 x1), a mode
+    that injection onto a 2D n = 16 grid aliases to the mode k = 6."""
+    b = "fourier:0,0,0.5" + ",0,0" * 8 + ",0,2"
+    return MFGModels(grid, 1.0, 1.25, coefficient_field(grid, "sin_bump"),
+                     coefficient_field(grid, b))
+
+
 def two_dimensional_models(grid: TorusGrid) -> MFGModels:
     """Problem data that varies along both axes (2D grids):
 

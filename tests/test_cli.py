@@ -218,10 +218,10 @@ class TestSolveCommand:
         with open(os.path.join(out, "path.json")) as fh:
             steps = json.load(fh)["steps"]
         assert [(s["lambda"], s["n"]) for s in steps] == \
-            [(0.0, 32), (1.0, 32), (1.0, 64)]
+            [(0.0, 16), (1.0, 16), (1.0, 32), (1.0, 64)]
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if l.startswith("lambda=")]
-        assert len(lines) == 3
+        assert len(lines) == 4
         for line in lines:
             fields = dict(tok.split("=") for tok in line.split())
             assert set(fields) == {"lambda", "iters", "residual", "min_m"}

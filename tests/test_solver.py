@@ -8,8 +8,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
-from helpers import (default_models, low_density_models, smooth_field,
-                     two_dimensional_models)
+from helpers import (default_models, high_mode_models, low_density_models,
+                     smooth_field, two_dimensional_models)
 from mfglab import solver, system
 from mfglab.config import RunConfig
 from mfglab.grid import TorusGrid
@@ -302,7 +302,7 @@ class TestLaggedLU:
         coarse_jac, coarse_rhs = newton_system(coarse)
         _, coarse_factor = solve_direct(coarse_jac, coarse_rhs)
         jac, rhs = newton_system(fine)
-        linear = LaggedLU(fine, (coarse, coarse_factor))
+        linear = LaggedLU(fine, (coarse, coarse_factor.solve))
         calls = count_factorizations(monkeypatch)
         x = linear.solve(jac, rhs)
         assert calls == [] and linear.factor is None
@@ -404,10 +404,11 @@ class TestFactorReuse:
         with monkeypatch.context() as patch:
             fine = count_gmres_iterations(patch, 2 * 64**2)
             path = continuation_run(models)
-        assert [s.n for s in path.steps] == [32, 32, 64]
+        assert [s.n for s in path.steps] == [16, 16, 32, 64]
 
         def refactor(self, matrix, rhs, atol):
             x, self.factor = solve_direct(matrix, rhs, self.grid)
+            self.precond = self.factor.solve
             return x
         with monkeypatch.context() as patch:
             patch.setattr(LaggedLU, "solve", refactor)
@@ -597,14 +598,14 @@ class TestContinuation:
             monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
         path = continuation_run(default_models(grid))
         assert [s.n for s in path.steps] == {
-            "reached": [32, 32], "two_level": [32, 32, 64],
+            "reached": [32, 32], "two_level": [16, 16, 32, 64],
             "fallback": [64, 64], "stopped": [32]}[kind]
         assert path.reached_one == (kind != "stopped")
         assert path.status == ("reached_one" if path.steps[-1].lam == 1.0
                                else "step_underflow")
 
     @pytest.mark.parametrize("grid", [TorusGrid(1, 64), TorusGrid(2, 16),
-                                      TorusGrid(2, 32)])
+                                      TorusGrid(2, 30)])
     def test_default_run_takes_the_full_step(self, grid, monkeypatch):
         calls = count_factorizations(monkeypatch)
         path = continuation_run(default_models(grid))
@@ -797,30 +798,38 @@ class TestGuess:
         calls = self.record_guess_solves(monkeypatch, guess)
         path = continuation_run(models, guess=guess)
         assert calls == []
-        assert [s.n for s in path.steps] == [32, 32, 64]
+        assert [s.n for s in path.steps] == [16, 16, 32, 64]
         self.assert_same_path(path, reference)
 
-    def test_two_level_grid_ignores_the_guess_when_the_coarse_run_fails(
-            self, monkeypatch):
+    # n = 32: the level below fails, so the ladder gives no start;
+    # n = 64: the ladder's start is given, but its solve fails
+    @pytest.mark.parametrize("failing_n", [32, 64])
+    def test_ladder_grid_tries_the_guess_when_its_start_fails(
+            self, failing_n, monkeypatch):
         grid = TorusGrid(2, 64)
         guess = continuation_run(default_models(grid, alpha=0.5)).final_state
         models = default_models(grid)
+        cold = continuation_run(models).final_state
         real = solver.newton_solve
 
-        def coarse_fails(init, lam, *args):
-            if init.grid.n == 32:
+        def ladder_fails(init, lam, *args):
+            if init.grid.n == failing_n and init is not guess:
                 raise NewtonDivergenceError("forced failure")
             return real(init, lam, *args)
-        monkeypatch.setattr(solver, "newton_solve", coarse_fails)
-        reference = continuation_run(models)
+        monkeypatch.setattr(solver, "newton_solve", ladder_fails)
         calls = self.record_guess_solves(monkeypatch, guess)
-        path = continuation_run(models, guess=guess)
-        assert calls == []
-        assert path.reached_one and [s.n for s in path.steps] == [64, 64]
-        self.assert_same_path(path, reference)
+        lines = []
+        path = continuation_run(models, guess=guess, log=lines.append)
+        assert calls == [1.0]
+        assert path.reached_one and path.lambdas == [1.0]
+        assert [s.n for s in path.steps] == [64]
+        assert lines == path.log_lines()
+        scale = max(np.abs(cold.u).max(), np.abs(cold.m).max())
+        assert np.abs(path.final_state.u - cold.u).max() <= 1e-10 * scale
+        assert np.abs(path.final_state.m - cold.m).max() <= 1e-10 * scale
 
     # odd n, and an even n whose half is below TWO_LEVEL_MIN_COARSE_N
-    @pytest.mark.parametrize("n", [33, 62])
+    @pytest.mark.parametrize("n", [33, 30])
     def test_single_level_2d_grid_tries_the_guess(self, n, monkeypatch):
         grid = TorusGrid(2, n)
         guess = continuation_run(default_models(grid, alpha=0.5)).final_state
@@ -896,7 +905,9 @@ class TestFourierResample:
 
 
 class TestTwoLevel:
-    """2D n = 64 runs go through the n = 32 solution and a two-grid Newton."""
+    """2D n = 64 runs climb the ladder n = 16, 32, 64: a continuation on
+    n = 16, then one Newton solve at lam = 1 per level, preconditioned by
+    the level below."""
 
     FINE = TorusGrid(2, 64)
 
@@ -907,15 +918,16 @@ class TestTwoLevel:
             return continuation_run(models)
 
     @pytest.mark.parametrize("make_models", [default_models,
-                                             two_dimensional_models])
+                                             two_dimensional_models,
+                                             high_mode_models])
     def test_matches_the_direct_continuation(self, make_models, monkeypatch):
         models = make_models(self.FINE)
         calls = count_factorizations(monkeypatch)
         path = continuation_run(models)
-        assert calls == [(2 * 32**2, 2 * 32**2)]
+        assert calls == [(2 * 16**2, 2 * 16**2)]
         assert path.reached_one
-        assert path.lambdas == [0.0, 1.0, 1.0]
-        assert [s.n for s in path.steps] == [32, 32, 64]
+        assert path.lambdas == [0.0, 1.0, 1.0, 1.0]
+        assert [s.n for s in path.steps] == [16, 16, 32, 64]
         reference = self.direct_run(models, monkeypatch)
         assert [s.n for s in reference.steps] == [64, 64]
         final, ref = path.final_state, reference.final_state
@@ -934,7 +946,7 @@ class TestTwoLevel:
     def test_log_receives_every_step_once_the_path_succeeds(self):
         lines = []
         path = continuation_run(default_models(self.FINE), log=lines.append)
-        assert lines == path.log_lines() and len(lines) == 3
+        assert lines == path.log_lines() and len(lines) == 4
 
     def test_runs_are_bit_identical(self):
         models = two_dimensional_models(self.FINE)
@@ -978,8 +990,9 @@ class TestTwoLevel:
                                             2 * self.FINE.npoints)
         calls = count_factorizations(monkeypatch)
         path = continuation_run(default_models(self.FINE))
-        assert [s.n for s in path.steps] == [32, 32, 64]
-        assert calls == [(2 * 32**2, 2 * 32**2)]  # no fine Jacobian factored
+        assert [s.n for s in path.steps] == [16, 16, 32, 64]
+        # no Jacobian above the bottom factored
+        assert calls == [(2 * 16**2, 2 * 16**2)]
         assert len(iterations) == path.steps[-1].iters
         assert max(iterations) <= 9
 
@@ -987,38 +1000,133 @@ class TestTwoLevel:
         models = default_models(self.FINE)
         steps, start, linear = solver._coarse_start(
             models, RunConfig.newton_tol, RunConfig.continuation_step_min)
-        assert [s.n for s in steps] == [32, 32]
-        assert [s.lam for s in steps] == [0.0, 1.0]
+        assert [s.n for s in steps] == [16, 16, 32]
+        assert [s.lam for s in steps] == [0.0, 1.0, 1.0]
         top = steps[-1].state
         u, m = fourier_resample(np.stack([top.u, top.m]), top.grid, self.FINE)
         assert start.grid == self.FINE and start.lam == 1.0
         assert np.array_equal(start.u, u) and np.array_equal(start.m, m)
         assert linear.grid == self.FINE and linear.factor is None
         assert linear.coarse[0] == TorusGrid(2, 32)
-        assert linear.coarse[1] is not None
         path = continuation_run(models)
         for step, coarse_step in zip(path.steps, steps):
             assert np.array_equal(step.state.u, coarse_step.state.u)
             assert np.array_equal(step.state.m, coarse_step.state.m)
 
-    @pytest.mark.parametrize("stop", ["stops-short", "no-factor"])
-    def test_coarse_start_is_empty_without_a_solved_factored_coarse_run(
-            self, stop, monkeypatch):
+    def test_level_without_a_factor_hands_up_its_cycle(self, monkeypatch):
+        """The n = 32 level holds no factor: the level above gets its
+        two-grid cycle around the last Jacobian it solved with, through
+        the bottom's factor, and no Jacobian is assembled for it."""
+        level = TorusGrid(2, 32)
+        models = default_models(level)
+        args = (RunConfig.newton_tol, RunConfig.continuation_step_min)
+        _, start, linear = solver._coarse_start(models, *args)
+        matrices = []
+        real_solve = LaggedLU.solve
+
+        def recorded(self, matrix, rhs, atol=0.0):
+            matrices.append(matrix)
+            return real_solve(self, matrix, rhs, atol)
+        with monkeypatch.context() as patch:
+            patch.setattr(LaggedLU, "solve", recorded)
+            step = newton_solve(start, 1.0, models, linear=linear)
+        assert linear.factor is None and len(matrices) == step.iters
+        bottom, factor_solve = linear.coarse
+        assert bottom == TorusGrid(2, 16)
+        assert isinstance(factor_solve.__self__, SuperLU)
+        cycle = two_grid_cycle(matrices[-1], factor_solve, level, bottom)
+        jacobians = []
+        real_jacobian = solver.assemble_jacobian
+
+        def counted(lin):
+            jacobians.append(lin)
+            return real_jacobian(lin)
+        monkeypatch.setattr(solver, "assemble_jacobian", counted)
+        steps, _, fine_linear = solver._coarse_start(
+            default_models(self.FINE), *args)
+        assert len(jacobians) == sum(s.iters for s in steps)
+        coarse, handed_up = fine_linear.coarse
+        assert coarse == level
+        r = np.random.default_rng(15).standard_normal(2 * level.npoints)
+        assert np.array_equal(handed_up(r), cycle(r))
+
+    def test_coarse_start_is_empty_when_the_coarse_level_stops_short(
+            self, monkeypatch):
         real = solver.newton_solve
 
-        def coarse(init, lam, models, tol, linear):
-            if init.grid.n == 32 and stop == "stops-short":
+        def coarse_fails(init, lam, *args):
+            if init.grid.n == 32:
                 raise NewtonDivergenceError("forced failure")
-            if init.grid.n == 32:  # solve without the shared LaggedLU
-                return real(init, lam, models, tol)
-            return real(init, lam, models, tol, linear)
-        monkeypatch.setattr(solver, "newton_solve", coarse)
+            return real(init, lam, *args)
+        monkeypatch.setattr(solver, "newton_solve", coarse_fails)
         models = default_models(self.FINE)
         assert solver._coarse_start(
             models, RunConfig.newton_tol,
             RunConfig.continuation_step_min) == ([], None, None)
         path = continuation_run(models)
         assert path.reached_one and [s.n for s in path.steps] == [64, 64]
+
+    def test_unfactored_bottom_hands_up_nothing(self, monkeypatch):
+        """A bottom that solved no linear system with its LaggedLU holds
+        no preconditioner: the level above runs its own continuation."""
+        real = solver.newton_solve
+
+        def bottom(init, lam, models, tol, linear):
+            if init.grid.n == 16:  # solve without the shared LaggedLU
+                return real(init, lam, models, tol)
+            return real(init, lam, models, tol, linear)
+        monkeypatch.setattr(solver, "newton_solve", bottom)
+        args = (RunConfig.newton_tol, RunConfig.continuation_step_min)
+        assert solver._coarse_start(default_models(TorusGrid(2, 32)),
+                                    *args) == ([], None, None)
+        path = continuation_run(default_models(self.FINE))
+        assert path.reached_one and [s.n for s in path.steps] == [32, 32, 64]
+
+    def test_failed_bottom_attempt_runs_the_level_above(self, monkeypatch):
+        """The bottom makes only the attempt lam 0 -> 1; when it fails the
+        n = 32 level runs its continuation and the n = 64 step follows."""
+        real = solver.newton_solve
+        bottom = []
+
+        def bottom_fails(init, lam, *args):
+            if init.grid.n == 16:
+                bottom.append((init.lam, lam))
+                raise NewtonDivergenceError("forced failure")
+            return real(init, lam, *args)
+        monkeypatch.setattr(solver, "newton_solve", bottom_fails)
+        path = continuation_run(default_models(self.FINE))
+        assert bottom == [(0.0, 1.0)]
+        assert path.reached_one
+        assert [s.n for s in path.steps] == [32, 32, 64]
+        assert path.lambdas == [0.0, 1.0, 1.0]
+
+    def test_only_the_bottom_is_factored_at_n_128(self, monkeypatch):
+        models = default_models(TorusGrid(2, 128))
+        calls = count_factorizations(monkeypatch)
+        path = continuation_run(models)
+        assert path.reached_one
+        assert [s.n for s in path.steps] == [16, 16, 32, 64, 128]
+        assert calls == [(2 * 16**2, 2 * 16**2)]
+        assert residual(path.final_state, models).sup_norm < 1e-10
+
+    def test_nested_preconditioner_is_a_fixed_linear_map(self):
+        """GMRES needs M^-1 linear: the n = 128 cycle nests three levels."""
+        fine = TorusGrid(2, 128)
+        models = default_models(fine)
+        _, start, linear = solver._coarse_start(
+            models, RunConfig.newton_tol, RunConfig.continuation_step_min)
+        coarse, coarse_solve = linear.coarse
+        assert coarse == TorusGrid(2, 64)
+        matrix = assemble_jacobian(residual(start, models).lin)
+        cycle = two_grid_cycle(matrix, coarse_solve, fine, coarse)
+        rng = np.random.default_rng(16)
+        r1, r2 = rng.standard_normal((2, 2 * fine.npoints))
+        a, b = 0.7, -2.3
+        combined = cycle(a * r1 + b * r2)
+        m1, m2 = cycle(r1), cycle(r2)
+        scale = np.max(np.abs(a * m1)) + np.max(np.abs(b * m2))
+        assert np.max(np.abs(combined - (a * m1 + b * m2))) <= 1e-12 * scale
+        assert np.array_equal(cycle(r1), m1)
 
     def test_zero_start_cycle_equals_the_full_first_sweep(self):
         """The cycle skips the product with x = 0 and changes no bit."""
@@ -1045,7 +1153,7 @@ class TestTwoLevel:
         calls = count_factorizations(monkeypatch)
         path = continuation_run(models)
         assert path.reached_one
-        assert [s.n for s in path.steps] == [32, 32, 64]
+        assert [s.n for s in path.steps] == [16, 16, 32, 64]
         assert (2 * 64**2, 2 * 64**2) in calls
         assert residual(path.final_state, models).sup_norm < 1e-10
 
