@@ -9,16 +9,13 @@ Allgower & Georg, Numerical Continuation Methods, 1990), down to
 `continuation.step_min`, below which the run stops short.  Density
 positivity is enforced inside the line search, never by projecting m.
 
-A run first tries at most two starts in turn: states from which one
-Newton solve at lam = 1 is made (a corrector step whose predictor is a
-known solution, as in Allgower & Georg).  On a ladder grid (below) the
-first start is the prolonged solution of the half-resolution problem;
-on every grid the next is the caller's guess, if one is given (`mfglab
-sweep` passes one built from the pairs it has solved).  A start is
-tried only if its density is above MIN_M_FLOOR; if no start's solve
-converges, the continuation runs from lam = 0 on the grid itself.  So
-a path is the coarse steps followed by the fine lam = 1 step, or the
-guess's lam = 1 step, or the continuation.
+Before the continuation a run tries its starts in turn: states from
+which one Newton solve at lam = 1 is made (a corrector step whose
+predictor is a known solution, as in Allgower & Georg).  They are the
+prolonged solution of the half-resolution problem on a ladder grid
+(below), then the caller's guess, if one is given (`mfglab sweep`
+passes one built from the pairs it has solved).  The continuation runs
+only if no start's solve converges.
 
 Each Newton system J delta = -F is solved by one linear solver type,
 `LaggedLU`: right-preconditioned GMRES that applies the exact Jacobian
@@ -58,8 +55,8 @@ On 1D grids J is a band matrix once the ring is unfolded: visiting the
 nodes in the order 0, n-1, 1, n-2, 2, ... and interleaving the unknowns
 as (u_i, m_i) puts every entry of the +-2 node stencil within 9
 subdiagonals and 7 superdiagonals for every n >= 8 (`band_layout`).
-LAPACK's banded LU with partial pivoting (dgbtrf / dgbtrs, Anderson et
-al., LAPACK Users' Guide, 1999) then factors it in time linear in n: at
+LAPACK's banded LU with partial pivoting (dgbsv, Anderson et al.,
+LAPACK Users' Guide, 1999) then factors it in time linear in n: at
 1D n = 256 a band factorization and solve take about 0.1 ms against
 0.5 ms for SuperLU (one core of a 2-vCPU Xeon), less than a GMRES solve
 preconditioned by a held factor.  So SuperLU factors are held and band
@@ -68,21 +65,14 @@ iteration.
 
 2D grids with even n and n / 2 >= TWO_LEVEL_MIN_COARSE_N are solved
 from the half-resolution solution (nested iteration, as in Briggs,
-Henson & McCormick, A Multigrid Tutorial, 2000), and so, recursively,
-is that n / 2 grid while it qualifies: a 2D n = 256 run climbs the
-ladder n = 16, 32, 64, 128, 256.  Each coarser level samples a and b at
-every other point of the level above.  The bottom of the ladder makes
-only the continuation's first attempt, the whole step from lam = 0 to
-1; each level above it prolongs the lam = 1 state of the level below by
-Fourier zero-padding, which keeps the mass, and makes one Newton solve
-at lam = 1 from it.  A level that gets no start, because the level
-below stopped short of lam = 1, or whose lam = 1 solve fails runs its
-own continuation from lam = 0, as a grid without a ladder does.  So on
-hard data, where the bottom's attempt fails, the level above the bottom
-runs the full continuation, and the bottom costs one rejected attempt on
-its small grid (about 0.05 s on the low-density data).  The top grid
-tries the caller's guess only after the ladder's start: a Newton solve
-from the guess factors the top Jacobian, which the ladder avoids.
+Henson & McCormick, A Multigrid Tutorial, 2000), and that n / 2 grid is
+solved by the same rule: a 2D n = 256 run climbs the ladder n = 16, 32,
+64, 128, 256.  Each coarser level samples a, b and the guess at every
+other point of the level above, and the bottom of the ladder makes at
+most the continuation's first attempt, the whole step from lam = 0 to
+1 (step_min = 1).  The guess comes after the prolonged start on each
+level: a Newton solve from the guess factors that level's Jacobian,
+which the ladder avoids.
 
 The linear systems of a level above the bottom go through the same
 gated GMRES on the exact Jacobian: its LaggedLU is given the level
@@ -114,7 +104,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbsv
 from scipy.sparse.linalg import splu
 
 from .config import RunConfig
@@ -136,12 +126,8 @@ BACKWARD_ERROR_GATE = 1e-10
 PERMC_SPEC = "MMD_AT_PLUS_A"
 KRYLOV_MAX_ITERS = 20
 # 2D grids with even n and n / 2 at least this start from the n / 2
-# solution (`_coarse_start`), down a ladder whose bottom is the first
-# level with odd n or n < 2 * TWO_LEVEL_MIN_COARSE_N.  On one core of a
-# 2-vCPU Xeon the default problem takes 0.012 s at 2D n = 32 (warm),
-# 0.56 s at n = 256 and 1.7-2.2 s at n = 512, against 0.018 s on the grid
-# itself and 1.6-1.7 s and 9.0 s on two levels with the continuation at
-# n / 2.
+# solution (`_solve_level`), down a ladder whose bottom is the first
+# level with odd n or n < 2 * TWO_LEVEL_MIN_COARSE_N
 TWO_LEVEL_MIN_COARSE_N = 16
 # block-Jacobi smoothing of `two_grid_cycle`: sweeps before and after the
 # coarse correction, and their damping
@@ -202,8 +188,9 @@ class SolvePath:
     """The accepted steps of a run, and the message of its last rejected
     corrector attempt (`reason`).
 
-    The steps are the guess's lam = 1 step, or the coarse steps followed
-    by the fine lam = 1 step, or the continuation from the lam = 0 state.
+    The steps are the lower levels' steps, if any, followed by the lam = 1
+    step of the start that converged, or the continuation from the lam = 0
+    state.
     """
 
     steps: list[NewtonResult]
@@ -348,12 +335,13 @@ class LaggedLU:
     Only if there is no preconditioner or the Krylov solution misses
     that gate does it refactor through `solve_direct` on `grid` (None
     for any sparse matrix): the held factor is dropped first, and the
-    new one is held unless it is a band factor, so 1D systems are always
-    factored afresh and never read `atol`.  One instance serves a whole
-    continuation run, so a factor outlives the Newton iteration that
-    made it.  `precond` is the held factor's solve if there is one, else
-    the last solve's two-grid cycle, else None: what a solved ladder
-    level hands up as the coarse solve of the level above.
+    factor it returns is held; a band solve returns none, so 1D systems
+    are always factored afresh and never read `atol`.  One instance
+    serves a whole continuation run, so a factor outlives the Newton
+    iteration that made it.  `precond` is the held factor's solve if
+    there is one, else the last solve's two-grid cycle, else None: what
+    a solved ladder level hands up as the coarse solve of the level
+    above.
     """
 
     def __init__(self, grid: TorusGrid | None = None, coarse=None) -> None:
@@ -381,10 +369,9 @@ class LaggedLU:
             if norm2(matrix @ x - rhs) <= gate:
                 return x
         self.factor = None
-        x, factor = solve_direct(matrix, rhs, self.grid)
-        if not isinstance(factor, BandLU):
-            self.factor = factor
-            self.precond = factor.solve
+        x, self.factor = solve_direct(matrix, rhs, self.grid)
+        if self.factor is not None:
+            self.precond = self.factor.solve
         return x
 
 
@@ -490,7 +477,7 @@ class BandLayout:
     k = N + i).  A matrix on the pattern of `template`, permuted by
     `order` on both sides, has `kl` subdiagonals and `ku` superdiagonals;
     `slots[j]` is the position of its j-th CSR entry in the row-major
-    (2N, ldab) array whose transpose is dgbtrf's `ab` (one row per band
+    (2N, ldab) array whose transpose is dgbsv's `ab` (one row per band
     column, with kl rows of room for the fill of pivoting).
     """
 
@@ -535,43 +522,31 @@ def band_layout(grid: TorusGrid) -> BandLayout:
     return BandLayout(template, order, kl, ku, slots)
 
 
-class BandLU:
-    """LAPACK band LU (dgbtrf) of a 1D Newton matrix on `layout`."""
-
-    def __init__(self, matrix: sp.csr_matrix, layout: BandLayout) -> None:
-        size = layout.order.size
-        ab = np.zeros(size * layout.ldab)
-        ab[layout.slots] = matrix.data
-        self.lu, self.piv, info = dgbtrf(ab.reshape(size, layout.ldab).T,
-                                         layout.kl, layout.ku, overwrite_ab=1)
-        if info > 0:
-            raise SingularSystemError(
-                f"factorization failed: zero pivot in band column {info}")
-        self.layout = layout
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        order = self.layout.order
-        b = np.empty(order.size)
-        b[order] = rhs
-        x, _ = dgbtrs(self.lu, self.layout.kl, self.layout.ku, b, self.piv,
-                      overwrite_b=1)
-        return x[order]
-
-
 def solve_direct(matrix: sp.spmatrix, rhs: np.ndarray,
                  grid: TorusGrid | None = None):
     """LU solve with a normwise backward-error gate of 1e-10: (x, factor).
 
     On a 1D `grid` a matrix on the pattern of the grid's Jacobian
-    template is factored as a band matrix (`BandLU`); every other matrix
-    by SuperLU, whose factor is returned as a `SuperLU` object.
+    template is solved as a band matrix by LAPACK's dgbsv, and its factor
+    is not kept (None); every other matrix is factored by SuperLU, whose
+    factor is returned as a `SuperLU` object.
     """
     if not np.all(np.isfinite(matrix.data)):
         raise SingularSystemError("system matrix has non-finite entries")
     layout = band_layout(grid) if grid is not None and grid.d == 1 else None
     if layout is not None and layout.fits(matrix):
-        factor = BandLU(matrix, layout)
-        x = factor.solve(rhs)
+        order, size = layout.order, layout.order.size
+        ab = np.zeros(size * layout.ldab)
+        ab[layout.slots] = matrix.data
+        b = np.empty(size)
+        b[order] = rhs
+        _, _, x, info = dgbsv(layout.kl, layout.ku,
+                              ab.reshape(size, layout.ldab).T, b,
+                              overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise SingularSystemError(
+                f"factorization failed: zero pivot in band column {info}")
+        x, factor = x[order], None
     else:
         try:
             factor = splu(matrix.tocsc(), permc_spec=PERMC_SPEC)
@@ -666,14 +641,10 @@ def continuation_run(models: MFGModels, tol: float = RunConfig.newton_tol,
                      log=None, guess: MFGState | None = None) -> SolvePath:
     """Follow the solution branch from lam = 0 to lam = 1, or start nearer.
 
-    The run has at most two starts, tried in turn: on 2D grids with even
-    n and n / 2 >= TWO_LEVEL_MIN_COARSE_N, the prolonged n / 2 solution
-    of `_coarse_start`; then, on every grid, the `guess`.  For each start
-    whose density is above MIN_M_FLOOR one Newton solve at lam = 1 is
-    made (from the guess with a fresh LaggedLU), and the first that
-    converges ends the path: the start's steps followed by that one.
-    If none does, the continuation runs from the lam = 0 root with a
-    fresh LaggedLU, exactly as without a start.
+    The run first tries its starts (`_solve_level`): on a ladder grid the
+    prolonged n / 2 solution, then the `guess`.  The first whose Newton
+    solve at lam = 1 converges ends the path.  If none does, the
+    continuation runs from the lam = 0 root with a fresh LaggedLU.
 
     The first attempt of the continuation targets lam = 1 directly.
     Each attempt goes from the last accepted lam to min(1, lam + step);
@@ -702,14 +673,43 @@ def _solve_level(models: MFGModels, tol: float, step_min: float,
                  guess: MFGState | None = None, log=None):
     """(path, linear solver) of `continuation_run` on the models' grid.
 
-    The linear solver is the LaggedLU that made the path's last step, so
-    the caller can read the preconditioner it holds."""
+    On a grid with a coarse level, a, b and the guess are sampled at
+    every other point (injection, which keeps the density positive) and
+    the n / 2 level is solved by this same rule, with step_min = 1 when
+    that level has no coarse level of its own (the ladder's bottom).
+    The starts are then the n / 2 level's lam = 1 state, prolonged by
+    `fourier_resample`, which keeps the mass, with a LaggedLU given the
+    coarse grid and that level's `precond`; then the guess, with a fresh
+    LaggedLU.  A start is tried if its density is above MIN_M_FLOOR, and
+    the prolonged one only if the level below reached lam = 1 and holds
+    a preconditioner.  The linear solver returned is the LaggedLU that
+    made the path's last step, so the level above can read its
+    `precond`.
+    """
     grid = models.grid
-    starts = [([], guess, LaggedLU(grid))]
+    starts = []
     if _has_coarse_level(grid):
-        starts.insert(0, _coarse_start(models, tol, step_min))
+        coarse = TorusGrid(grid.d, grid.n // 2)
+        every_other = (slice(None, None, 2),) * grid.d
+
+        def inject(field):
+            return np.broadcast_to(field, (grid.npoints,)).reshape(
+                grid.shape)[every_other].ravel()
+        coarse_guess = None if guess is None else replace(
+            guess, grid=coarse, u=inject(guess.u), m=inject(guess.m))
+        below, linear = _solve_level(
+            replace(models, grid=coarse, a=inject(models.a),
+                    b=inject(models.b)),
+            tol, step_min if _has_coarse_level(coarse) else 1.0, coarse_guess)
+        if below.reached_one and linear.precond is not None:
+            top = below.final_state
+            u, m = fourier_resample(np.stack([top.u, top.m]), coarse, grid)
+            starts.append((below.steps, MFGState(grid, u, m, 1.0),
+                           LaggedLU(grid, (coarse, linear.precond))))
+    if guess is not None:
+        starts.append(([], guess, LaggedLU(grid)))
     for steps, start, linear in starts:
-        if start is None or float(np.min(start.m)) <= MIN_M_FLOOR:
+        if float(np.min(start.m)) <= MIN_M_FLOOR:
             continue
         try:
             step = newton_solve(start, 1.0, models, tol, linear)
@@ -722,46 +722,6 @@ def _solve_level(models: MFGModels, tol: float, step_min: float,
         return path, linear
     linear = LaggedLU(grid)
     return _continue(models, tol, step_min, linear, log), linear
-
-
-def _coarse_start(models: MFGModels, tol: float, step_min: float):
-    """(coarse steps, start, linear solver) of a run through its n / 2 level.
-
-    The coarse problem samples a and b at every other point (injection).
-    If the n / 2 grid has a coarse level of its own it is solved as
-    `continuation_run` solves any grid, so the ladder recurses down to
-    the first grid that has none, its bottom; the bottom makes only the
-    continuation's first attempt, lam 0 -> 1, and if that fails the
-    level above runs its own continuation.  The n / 2 level's lam = 1
-    state, prolonged by `fourier_resample`, which keeps the mass, is the
-    start.  The linear solver is a LaggedLU given the coarse grid and
-    the `precond` of the coarse level's last LaggedLU: its held LU
-    factor, or else its last two-grid cycle, so no level above the
-    bottom is factored unless a GMRES solve misses the gate.  Each
-    coarse step's state is on its own grid.  Returns ([], None, None)
-    when the coarse level stops short of lam = 1, or solved no linear
-    system and so holds no preconditioner.
-    """
-    fine = models.grid
-    coarse = TorusGrid(fine.d, fine.n // 2)
-    every_other = (slice(None, None, 2),) * fine.d
-
-    def inject(field):
-        return np.broadcast_to(field, (fine.npoints,)).reshape(
-            fine.shape)[every_other].ravel()
-    coarse_models = replace(models, grid=coarse, a=inject(models.a),
-                            b=inject(models.b))
-    if _has_coarse_level(coarse):
-        path, linear = _solve_level(coarse_models, tol, step_min)
-    else:
-        linear = LaggedLU(coarse)
-        path = _continue(coarse_models, tol, 1.0, linear)
-    if not path.reached_one or linear.precond is None:
-        return [], None, None
-    top = path.final_state
-    u, m = fourier_resample(np.stack([top.u, top.m]), coarse, fine)
-    return (path.steps, MFGState(fine, u, m, 1.0),
-            LaggedLU(fine, (coarse, linear.precond)))
 
 
 def _continue(models: MFGModels, tol: float, step_min: float,

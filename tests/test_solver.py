@@ -13,7 +13,7 @@ from helpers import (default_models, high_mode_models, low_density_models,
 from mfglab import solver, system
 from mfglab.config import RunConfig
 from mfglab.grid import TorusGrid
-from mfglab.solver import (BandLU, LaggedLU, NewtonDivergenceError,
+from mfglab.solver import (LaggedLU, NewtonDivergenceError,
                            SingularSystemError, SolverError, backward_error,
                            band_layout, chunked_matvec, continuation_run,
                            fourier_resample, gmres, newton_solve, norm2,
@@ -30,20 +30,20 @@ def count_factorizations(monkeypatch, band_calls: list | None = None) -> list:
     factorizations also in `band_calls` when given.
     """
     calls = []
-    real, real_band = solver.splu, solver.dgbtrf
+    real, real_band = solver.splu, solver.dgbsv
 
     def counted(matrix, **kwargs):
         calls.append(matrix.shape)
         return real(matrix, **kwargs)
 
-    def counted_band(ab, kl, ku, **kwargs):
+    def counted_band(kl, ku, ab, b, **kwargs):
         # ab has one column per column of the matrix
         calls.append((ab.shape[1], ab.shape[1]))
         if band_calls is not None:
             band_calls.append(calls[-1])
-        return real_band(ab, kl, ku, **kwargs)
+        return real_band(kl, ku, ab, b, **kwargs)
     monkeypatch.setattr(solver, "splu", counted)
-    monkeypatch.setattr(solver, "dgbtrf", counted_band)
+    monkeypatch.setattr(solver, "dgbsv", counted_band)
     return calls
 
 
@@ -60,6 +60,20 @@ def count_gmres_iterations(monkeypatch, size: int | None = None) -> list:
         return x, k, estimate
     monkeypatch.setattr(solver, "gmres", counted)
     return iterations
+
+
+def record_solves(monkeypatch, n: int) -> list:
+    """Record (init, lam, linear) of every Newton solve on a grid of n
+    points per axis from now on; each still runs."""
+    solves = []
+    real = solver.newton_solve
+
+    def recorded(init, lam, models, tol, linear):
+        if init.grid.n == n:
+            solves.append((init, lam, linear))
+        return real(init, lam, models, tol, linear)
+    monkeypatch.setattr(solver, "newton_solve", recorded)
+    return solves
 
 
 def fft_resample(values: np.ndarray, src: TorusGrid,
@@ -123,7 +137,8 @@ class TestSolveDirect:
     def test_returns_a_band_factor_only_for_1d_newton_matrices(self):
         grid = TorusGrid(1, 33)
         jac, rhs = newton_system(grid)
-        assert isinstance(solve_direct(jac, rhs, grid=grid)[1], BandLU)
+        # a band solve returns no factor: band factors are never held
+        assert solve_direct(jac, rhs, grid=grid)[1] is None
         assert isinstance(solve_direct(jac, rhs)[1], SuperLU)
         grid_2d = TorusGrid(2, 8)
         jac, rhs = newton_system(grid_2d)
@@ -146,7 +161,7 @@ class TestSolveDirect:
         res = residual(state, models)
         jac, rhs = assemble_jacobian(res.lin), -res.stack()
         x, factor = solve_direct(jac, rhs, grid if band else None)
-        assert isinstance(factor, BandLU) == band
+        assert (factor is None) == band  # a band solve returns no factor
         assert backward_error(jac, x, rhs) > 1e-10
         assert normwise_backward_error(jac, x, rhs) <= 1e-10
 
@@ -790,16 +805,56 @@ class TestGuess:
         self.assert_same_path(path, reference)
         assert path.steps[0].lam == 0.0
 
-    def test_two_level_grid_ignores_the_guess(self, monkeypatch):
+    def test_guess_reaches_the_bottom_of_the_ladder(self, monkeypatch):
+        """The bottom starts from the guess sampled at every fourth point,
+        so no level runs the continuation."""
         grid = TorusGrid(2, 64)
         guess = continuation_run(default_models(grid, alpha=0.5)).final_state
         models = default_models(grid)
-        reference = continuation_run(models)
-        calls = self.record_guess_solves(monkeypatch, guess)
+        cold = continuation_run(models).final_state
+        bottom = record_solves(monkeypatch, 16)
         path = continuation_run(models, guess=guess)
-        assert calls == []
-        assert [s.n for s in path.steps] == [16, 16, 32, 64]
-        self.assert_same_path(path, reference)
+        assert [(init.lam, lam) for init, lam, _ in bottom] == [(1.0, 1.0)]
+        sampled = (slice(None, None, 4),) * 2
+        init = bottom[0][0]
+        for field, full in ((init.u, guess.u), (init.m, guess.m)):
+            assert np.array_equal(field,
+                                  full.reshape(grid.shape)[sampled].ravel())
+        assert path.reached_one and path.lambdas == [1.0, 1.0, 1.0]
+        assert [s.n for s in path.steps] == [16, 32, 64]
+        scale = max(np.abs(cold.u).max(), np.abs(cold.m).max())
+        assert np.abs(path.final_state.u - cold.u).max() <= 1e-10 * scale
+        assert np.abs(path.final_state.m - cold.m).max() <= 1e-10 * scale
+
+    def test_level_above_a_failed_bottom_starts_from_the_guess(
+            self, monkeypatch):
+        """Every solve at n = 16 fails: n = 32 makes one Newton solve from
+        the guess sampled at every other point and runs no continuation."""
+        grid = TorusGrid(2, 64)
+        guess = continuation_run(default_models(grid, alpha=0.5)).final_state
+        models = default_models(grid)
+        cold = continuation_run(models).final_state
+        real = solver.newton_solve
+
+        def bottom_fails(init, lam, *args):
+            if init.grid.n == 16:
+                raise NewtonDivergenceError("forced failure")
+            return real(init, lam, *args)
+        monkeypatch.setattr(solver, "newton_solve", bottom_fails)
+        level = record_solves(monkeypatch, 32)
+        path = continuation_run(models, guess=guess)
+        assert len(level) == 1
+        init, lam, _ = level[0]
+        sampled = (slice(None, None, 2),) * 2
+        assert lam == 1.0 and init.lam == guess.lam
+        for field, full in ((init.u, guess.u), (init.m, guess.m)):
+            assert np.array_equal(field,
+                                  full.reshape(grid.shape)[sampled].ravel())
+        assert path.reached_one and path.lambdas == [1.0, 1.0]
+        assert [s.n for s in path.steps] == [32, 64]
+        scale = max(np.abs(cold.u).max(), np.abs(cold.m).max())
+        assert np.abs(path.final_state.u - cold.u).max() <= 1e-10 * scale
+        assert np.abs(path.final_state.m - cold.m).max() <= 1e-10 * scale
 
     # n = 32: the level below fails, so the ladder gives no start;
     # n = 64: the ladder's start is given, but its solve fails
@@ -996,19 +1051,44 @@ class TestTwoLevel:
         assert len(iterations) == path.steps[-1].iters
         assert max(iterations) <= 9
 
-    def test_coarse_start_is_the_prolonged_coarse_solution(self):
+    @staticmethod
+    def level_below(models) -> solver.SolvePath:
+        """The path of the n / 2 level of a ladder run on `models`."""
+        grid = models.grid
+        coarse = TorusGrid(grid.d, grid.n // 2)
+        every_other = (slice(None, None, 2),) * grid.d
+
+        def inject(field):
+            return field.reshape(grid.shape)[every_other].ravel()
+        coarse_models = replace(models, grid=coarse, a=inject(models.a),
+                                b=inject(models.b))
+        return solver._solve_level(coarse_models, RunConfig.newton_tol,
+                                   RunConfig.continuation_step_min)[0]
+
+    def test_start_is_the_prolonged_coarse_solution(self, monkeypatch):
         models = default_models(self.FINE)
-        steps, start, linear = solver._coarse_start(
-            models, RunConfig.newton_tol, RunConfig.continuation_step_min)
+        steps = self.level_below(models).steps
         assert [s.n for s in steps] == [16, 16, 32]
         assert [s.lam for s in steps] == [0.0, 1.0, 1.0]
+        top_solves = []
+        real = solver.newton_solve
+
+        def recorded(init, lam, models, tol, linear):
+            if init.grid == self.FINE:
+                top_solves.append((init, lam, linear, linear.factor))
+            return real(init, lam, models, tol, linear)
+        monkeypatch.setattr(solver, "newton_solve", recorded)
+        path = continuation_run(models)
+        assert len(top_solves) == 1
+        start, lam, linear, factor = top_solves[0]
         top = steps[-1].state
         u, m = fourier_resample(np.stack([top.u, top.m]), top.grid, self.FINE)
+        assert lam == 1.0
         assert start.grid == self.FINE and start.lam == 1.0
         assert np.array_equal(start.u, u) and np.array_equal(start.m, m)
-        assert linear.grid == self.FINE and linear.factor is None
+        assert linear.grid == self.FINE and factor is None
         assert linear.coarse[0] == TorusGrid(2, 32)
-        path = continuation_run(models)
+        assert len(path.steps) == len(steps) + 1
         for step, coarse_step in zip(path.steps, steps):
             assert np.array_equal(step.state.u, coarse_step.state.u)
             assert np.array_equal(step.state.m, coarse_step.state.m)
@@ -1018,18 +1098,21 @@ class TestTwoLevel:
         two-grid cycle around the last Jacobian it solved with, through
         the bottom's factor, and no Jacobian is assembled for it."""
         level = TorusGrid(2, 32)
-        models = default_models(level)
-        args = (RunConfig.newton_tol, RunConfig.continuation_step_min)
-        _, start, linear = solver._coarse_start(models, *args)
         matrices = []
         real_solve = LaggedLU.solve
 
         def recorded(self, matrix, rhs, atol=0.0):
-            matrices.append(matrix)
+            if self.grid == level:
+                matrices.append(matrix)
             return real_solve(self, matrix, rhs, atol)
         with monkeypatch.context() as patch:
             patch.setattr(LaggedLU, "solve", recorded)
-            step = newton_solve(start, 1.0, models, linear=linear)
+            solves = record_solves(patch, 32)
+            path = continuation_run(default_models(level))
+        assert [s.n for s in path.steps] == [16, 16, 32]
+        step = path.steps[-1]
+        assert len(solves) == 1
+        linear = solves[0][2]
         assert linear.factor is None and len(matrices) == step.iters
         bottom, factor_solve = linear.coarse
         assert bottom == TorusGrid(2, 16)
@@ -1042,16 +1125,24 @@ class TestTwoLevel:
             jacobians.append(lin)
             return real_jacobian(lin)
         monkeypatch.setattr(solver, "assemble_jacobian", counted)
-        steps, _, fine_linear = solver._coarse_start(
-            default_models(self.FINE), *args)
-        assert len(jacobians) == sum(s.iters for s in steps)
+        top_solves = []
+        real = solver.newton_solve
+
+        def top_recorded(init, lam, models, tol, linear):
+            if init.grid == self.FINE:
+                top_solves.append((linear, len(jacobians)))
+            return real(init, lam, models, tol, linear)
+        monkeypatch.setattr(solver, "newton_solve", top_recorded)
+        steps = continuation_run(default_models(self.FINE)).steps[:-1]
+        fine_linear, assembled = top_solves[0]
+        # one Jacobian per Newton iteration below the top, none more
+        assert assembled == sum(s.iters for s in steps)
         coarse, handed_up = fine_linear.coarse
         assert coarse == level
         r = np.random.default_rng(15).standard_normal(2 * level.npoints)
         assert np.array_equal(handed_up(r), cycle(r))
 
-    def test_coarse_start_is_empty_when_the_coarse_level_stops_short(
-            self, monkeypatch):
+    def test_no_start_when_the_coarse_level_stops_short(self, monkeypatch):
         real = solver.newton_solve
 
         def coarse_fails(init, lam, *args):
@@ -1060,10 +1151,11 @@ class TestTwoLevel:
             return real(init, lam, *args)
         monkeypatch.setattr(solver, "newton_solve", coarse_fails)
         models = default_models(self.FINE)
-        assert solver._coarse_start(
-            models, RunConfig.newton_tol,
-            RunConfig.continuation_step_min) == ([], None, None)
+        assert not self.level_below(models).reached_one
+        top = record_solves(monkeypatch, 64)
         path = continuation_run(models)
+        # no lam = 1 start: the only solve at n = 64 is the continuation's
+        assert [(init.lam, lam) for init, lam, _ in top] == [(0.0, 1.0)]
         assert path.reached_one and [s.n for s in path.steps] == [64, 64]
 
     def test_unfactored_bottom_hands_up_nothing(self, monkeypatch):
@@ -1076,10 +1168,10 @@ class TestTwoLevel:
                 return real(init, lam, models, tol)
             return real(init, lam, models, tol, linear)
         monkeypatch.setattr(solver, "newton_solve", bottom)
-        args = (RunConfig.newton_tol, RunConfig.continuation_step_min)
-        assert solver._coarse_start(default_models(TorusGrid(2, 32)),
-                                    *args) == ([], None, None)
+        level = record_solves(monkeypatch, 32)
         path = continuation_run(default_models(self.FINE))
+        # no lam = 1 start: the only solve at n = 32 is the continuation's
+        assert [(init.lam, lam) for init, lam, _ in level] == [(0.0, 1.0)]
         assert path.reached_one and [s.n for s in path.steps] == [32, 32, 64]
 
     def test_failed_bottom_attempt_runs_the_level_above(self, monkeypatch):
@@ -1109,12 +1201,13 @@ class TestTwoLevel:
         assert calls == [(2 * 16**2, 2 * 16**2)]
         assert residual(path.final_state, models).sup_norm < 1e-10
 
-    def test_nested_preconditioner_is_a_fixed_linear_map(self):
+    def test_nested_preconditioner_is_a_fixed_linear_map(self, monkeypatch):
         """GMRES needs M^-1 linear: the n = 128 cycle nests three levels."""
         fine = TorusGrid(2, 128)
         models = default_models(fine)
-        _, start, linear = solver._coarse_start(
-            models, RunConfig.newton_tol, RunConfig.continuation_step_min)
+        top = record_solves(monkeypatch, 128)
+        continuation_run(models)
+        start, _, linear = top[0]
         coarse, coarse_solve = linear.coarse
         assert coarse == TorusGrid(2, 64)
         matrix = assemble_jacobian(residual(start, models).lin)
