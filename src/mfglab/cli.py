@@ -191,37 +191,9 @@ def _csv_value(v) -> str:
     return f"{v:.17g}"
 
 
-def _sweep_guess(alpha: float, line, last):
-    """(start, guess) of a sweep pair at `alpha`.
-
-    `line` lists the (alpha, final state) of the last two pairs solved
-    on the pair's gamma line, in visiting order, and `last` is the final
-    state of the last pair solved anywhere (None before the first).  The
-    guess is the secant extrapolation through the last two entries of
-    `line` (a predictor along the line, as in Allgower & Georg,
-    Numerical Continuation Methods, 1990), unless their alphas are equal
-    or the predicted density reaches the solver's positivity floor; then
-    it is `last` itself.
-    """
-    from .solver import MIN_M_FLOOR
-
-    if len(line) == 2:
-        (a0, s0), (a1, s1) = line
-        if a1 != a0:
-            w = (alpha - a1) / (a1 - a0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = s1.u + w * (s1.u - s0.u)
-                m = s1.m + w * (s1.m - s0.m)
-            if np.all(np.isfinite(u)) and float(np.min(m)) > MIN_M_FLOOR:
-                return "secant", MFGState(s1.grid, u, m, 1.0)
-    if last is None:
-        return "continuation", None
-    return "neighbour", last
-
-
 def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
               out_dir: str | None = None, override: bool = False) -> int:
-    from .solver import continuation_run
+    from .solver import continuation_run, sweep_guess
 
     if not gamma_list or not alpha_list:
         print("sweep needs non-empty gamma and alpha lists", file=sys.stderr)
@@ -251,7 +223,7 @@ def cmd_sweep(cfg: RunConfig, gamma_list, alpha_list,
                 print(f"sweep pair gamma={gamma:g} alpha={alpha:g} "
                       f"failed to set up: {exc}", file=sys.stderr)
                 continue
-            start, guess = _sweep_guess(alpha, line, last)
+            start, guess = sweep_guess(alpha, line, last)
             path = continuation_run(models, tol, step_min, guess=guess)
             # a path that began at its guess begins at lam = 1
             row["start"] = start if path.steps[0].lam == 1.0 else "continuation"

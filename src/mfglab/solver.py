@@ -119,7 +119,7 @@ MAX_NEWTON_ITERS = 30
 EPS = np.finfo(float).eps
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 25
-# the line search keeps every density value above this floor
+# a Newton solve's start and every iterate keep their density above this
 MIN_M_FLOOR = 1e-8
 BACKWARD_ERROR_GATE = 1e-10
 # SuperLU column ordering: minimum degree on the pattern of A + A^T
@@ -179,8 +179,7 @@ class NewtonResult:
                 "residual": self.residual_norm, "min_m": self.min_m}
 
     def log_line(self) -> str:
-        return (f"lambda={self.lam:.17g} iters={self.iters} "
-                f"residual={self.residual_norm:.17g} min_m={self.min_m:.17g}")
+        return " ".join(f"{k}={v:.17g}" for k, v in self.record().items())
 
 
 @dataclass
@@ -574,6 +573,12 @@ def residual_floor(state: MFGState) -> float:
     return float(EPS * (1.0 + 4.0 * grid.d / grid.h**2) * scale)
 
 
+def _usable_start(state: MFGState) -> bool:
+    """Finite u and m and min m > MIN_M_FLOOR: a start `newton_solve` takes."""
+    return bool(np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.m))
+                and float(np.min(state.m)) > MIN_M_FLOOR)
+
+
 def newton_solve(init: MFGState, lam: float, models: MFGModels,
                  tol: float = RunConfig.newton_tol,
                  linear: LaggedLU | None = None) -> NewtonResult:
@@ -595,9 +600,10 @@ def newton_solve(init: MFGState, lam: float, models: MFGModels,
     and after each of at most MAX_NEWTON_ITERS iterations, is below
     max(tol, `residual_floor(state)`), the rounding floor of the state;
     it raises NewtonDivergenceError if it does not, or if no t is accepted.
+    A start failing `_usable_start` raises a plain SolverError at once.
     """
-    if float(np.min(init.m)) <= MIN_M_FLOOR:
-        raise ValueError("initial density at or below the positivity floor")
+    if not _usable_start(init):
+        raise SolverError(f"non-finite start or min m <= {MIN_M_FLOOR:g}")
     if linear is None:
         linear = LaggedLU(init.grid)
     state = MFGState(init.grid, init.u.copy(), init.m.copy(), lam)
@@ -663,6 +669,30 @@ def continuation_run(models: MFGModels, tol: float = RunConfig.newton_tol,
     return _solve_level(models, tol, step_min, guess, log)[0]
 
 
+def sweep_guess(alpha: float, line, last):
+    """(start, guess) of a sweep pair at `alpha`.
+
+    `line` lists the (alpha, final state) of the last two pairs solved
+    on the pair's gamma line, in visiting order, and `last` is the final
+    state of the last pair solved anywhere (None before the first).  The
+    guess is the secant through the last two entries of `line` (a
+    predictor, as in Allgower & Georg) unless their alphas are equal or
+    it fails `_usable_start`; then it is `last` itself.
+    """
+    if len(line) == 2 and line[0][0] != line[1][0]:
+        (a0, s0), (a1, s1) = line
+        w = (alpha - a1) / (a1 - a0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = s1.u + w * (s1.u - s0.u)
+            m = s1.m + w * (s1.m - s0.m)
+        guess = MFGState(s1.grid, u, m, 1.0)
+        if _usable_start(guess):
+            return "secant", guess
+    if last is None:
+        return "continuation", None
+    return "neighbour", last
+
+
 def _has_coarse_level(grid: TorusGrid) -> bool:
     """Whether `continuation_run` starts `grid` from its n / 2 solution."""
     return (grid.d == 2 and grid.n % 2 == 0
@@ -680,11 +710,10 @@ def _solve_level(models: MFGModels, tol: float, step_min: float,
     The starts are then the n / 2 level's lam = 1 state, prolonged by
     `fourier_resample`, which keeps the mass, with a LaggedLU given the
     coarse grid and that level's `precond`; then the guess, with a fresh
-    LaggedLU.  A start is tried if its density is above MIN_M_FLOOR, and
-    the prolonged one only if the level below reached lam = 1 and holds
-    a preconditioner.  The linear solver returned is the LaggedLU that
-    made the path's last step, so the level above can read its
-    `precond`.
+    LaggedLU.  The prolonged start is tried only if the level below
+    reached lam = 1 and holds a preconditioner.  The linear solver
+    returned is the LaggedLU that made the path's last step, so the
+    level above can read its `precond`.
     """
     grid = models.grid
     starts = []
@@ -709,8 +738,6 @@ def _solve_level(models: MFGModels, tol: float, step_min: float,
     if guess is not None:
         starts.append(([], guess, LaggedLU(grid)))
     for steps, start, linear in starts:
-        if float(np.min(start.m)) <= MIN_M_FLOOR:
-            continue
         try:
             step = newton_solve(start, 1.0, models, tol, linear)
         except SolverError:

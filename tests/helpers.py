@@ -4,7 +4,8 @@ import numpy as np
 
 from mfglab import MFGModels, TorusGrid, coefficient_field
 from mfglab.hamiltonian import (SPEED_MAX_ITER, SPEED_TOL, _speed_map,
-                                _speed_map_deriv, _speed_start)
+                                _speed_map_deriv, _speed_start,
+                                conjugate_exponent, example_eval)
 
 
 def default_models(grid: TorusGrid, gamma: float = 1.25,
@@ -40,6 +41,50 @@ def two_dimensional_models(grid: TorusGrid) -> MFGModels:
     a = 1 + 0.3 * np.sin(x1) * np.cos(x2) + 0.15 * np.sin(x1 + 2 * x2)
     b = 0.5 * np.cos(x1) + 0.4 * np.sin(x2) + 0.25 * np.cos(x1 - x2)
     return MFGModels(grid, 1.0, 1.25, a, b)
+
+
+def manufactured_solution(nf: int, gamma: float, alpha: float):
+    """(u*, m*, b) at the nf points x = j / nf of a 1D solution of the
+    lam = 1 system with a = 1, whose potential b is built to fit it
+    (method of manufactured solutions; Roache, J. Fluids Eng., 2002).
+
+    m* = 1 + 0.5 cos(2 pi x) and M = (0.5 / 2 pi) sin(2 pi x), so
+    M' = m* - 1, and the density row holds with the flux
+    DpH(Q) m* = J = M - m*' + C.  In 1D DpH(Q) = sign(Q) s with s the
+    optimal speed, so s = |J / m*| and Q = sign(J) gamma' s
+    (1 + s^2)^(gamma'/2 - 1).  C is set by bisection so that
+    u*' = m*^alpha Q has mean 0, u* is its mean-free periodic primitive,
+    and b = -u* + u*'' - m*^alpha H(Q) + arctan m*.  Derivatives and the
+    primitive are taken by FFT, which is exact to rounding for these
+    smooth periodic fields once nf is large (8192 resolves them).
+    """
+    x = np.arange(nf) / nf
+    ik = 2j * np.pi * np.fft.rfftfreq(nf, 1.0 / nf)
+
+    def derivative(f):
+        return np.fft.irfft(ik * np.fft.rfft(f), nf)
+
+    m = 1.0 + 0.5 * np.cos(2 * np.pi * x)
+    flux = 0.5 / (2 * np.pi) * np.sin(2 * np.pi * x) - derivative(m)
+    gp = conjugate_exponent(gamma)
+
+    def velocity(c):  # u*' = m*^alpha Q for the flux constant c
+        J = flux + c
+        s = np.abs(J / m)
+        return m**alpha * np.sign(J) * gp * s * (1.0 + s * s) ** (0.5 * gp - 1.0)
+
+    lo, hi = -4.0, 4.0  # |flux| < 4, so the mean changes sign in between
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.mean(velocity(mid)) < 0.0 else (lo, mid)
+    du = velocity(0.5 * (lo + hi))
+    du_hat = np.fft.rfft(du)
+    du_hat[0] = 0.0
+    du_hat[1:] /= ik[1:]
+    u = np.fft.irfft(du_hat, nf)
+    H = example_eval((du / m**alpha)[:, None], 1.0, gamma).H
+    b = -u + derivative(du) - m**alpha * H + np.arctan(m)
+    return u, m, b
 
 
 def smooth_field(grid: TorusGrid, rng: np.random.Generator,

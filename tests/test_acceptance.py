@@ -10,15 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (default_models, low_density_models, smooth_field,
+from helpers import (default_models, low_density_models,
+                     manufactured_solution, smooth_field,
                      smooth_positive_density, two_dimensional_models)
 from mfglab.diagnostics import energy_identity, estimate_suite
 from mfglab.grid import TorusGrid
 from mfglab.hamiltonian import (check_parameter_admissibility, conjugate_exponent,
                                 example_eval, power_eval, solve_optimal_speed)
 from mfglab.solver import continuation_run, newton_solve
-from mfglab.system import (MFGState, assemble_jacobian, bilinear_form,
-                           linearize, residual)
+from mfglab.system import (MFGModels, MFGState, assemble_jacobian,
+                           bilinear_form, linearize, residual)
 
 
 def report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -307,3 +308,29 @@ def test_criterion_12_low_density_refinement():
            f"max min_m {worst_min_m:.3e}, max |mass - 1| {worst_mass:.3e}, "
            f"ratios {ratios[0]:.3f} {ratios[1]:.3f}, ||1/m||_L8 "
            f"{moments[256]:.5g} {moments[512]:.5g} {moments[1024]:.5g}")
+
+
+def test_criterion_13_manufactured_solution():
+    # a known solution of the lam = 1 system (gamma 1.5, alpha 0.25, a = 1,
+    # min m* = 0.5): the max-norm errors in u and m fall 4x per doubling
+    nf, sizes, gamma, alpha = 8192, (64, 128, 256, 512, 1024), 1.5, 0.25
+    start = time.perf_counter()
+    u_star, m_star, b = manufactured_solution(nf, gamma, alpha)
+    errors = {}
+    for n in sizes:
+        grid = TorusGrid(1, n)
+        path = continuation_run(
+            MFGModels(grid, alpha, gamma, np.ones(n), b[::nf // n]))
+        assert path.reached_one, f"n={n}: {path.status}: {path.reason}"
+        state = path.final_state
+        errors[n] = (float(np.max(np.abs(state.u - u_star[::nf // n]))),
+                     float(np.max(np.abs(state.m - m_star[::nf // n]))))
+    elapsed = time.perf_counter() - start
+    ratios = [(errors[n // 2][0] / errors[n][0], errors[n // 2][1] / errors[n][1])
+              for n in sizes[1:]]
+    ok = all(3.6 <= r <= 4.4 for pair in ratios for r in pair) and elapsed < 3.0
+    report(13, "manufactured solution, 1D second-order convergence", ok,
+           f"errors in u {errors[64][0]:.3e} -> {errors[1024][0]:.3e}, in m "
+           f"{errors[64][1]:.3e} -> {errors[1024][1]:.3e}, ratios u "
+           + " ".join(f"{r:.3f}" for r, _ in ratios) + ", m "
+           + " ".join(f"{r:.3f}" for _, r in ratios) + f", in {elapsed:.2f}s")

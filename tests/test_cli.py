@@ -222,9 +222,11 @@ class TestSolveCommand:
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if l.startswith("lambda=")]
         assert len(lines) == 4
-        for line in lines:
-            fields = dict(tok.split("=") for tok in line.split())
-            assert set(fields) == {"lambda", "iters", "residual", "min_m"}
+        fields = [dict(tok.split("=") for tok in line.split())
+                  for line in lines]
+        for f in fields:
+            assert set(f) == {"lambda", "n", "iters", "residual", "min_m"}
+        assert [int(f["n"]) for f in fields] == [s["n"] for s in steps]
         assert read_field_csv(os.path.join(out, "u.csv")).grid == TorusGrid(2, 64)
 
     @pytest.mark.parametrize("grid_lines", ["", "grid.d = 2\ngrid.n = 16\n"],
@@ -686,27 +688,6 @@ class TestSweepCommand:
         for r in rows:
             models = finals[float(r["gamma"]), float(r["alpha"])][1]
             assert int(r["iters_total"]) == continuation_run(models).total_iters
-
-    def test_secant_density_at_the_floor_starts_at_the_neighbour(self):
-        from mfglab import cli
-        from mfglab.system import MFGState
-
-        grid = TorusGrid(1, 8)
-        u = np.zeros(8)
-        m0 = np.ones(8)
-        m1 = np.linspace(0.5, 1.5, 8)
-        s0, s1 = MFGState(grid, u, m0, 1.0), MFGState(grid, u, m1, 1.0)
-        line = [(0.5, s0), (1.0, s1)]
-        # the secant to alpha = 1.5 predicts m = 2 m1 - m0, min m = 0
-        assert cli._sweep_guess(1.5, line, s1) == ("neighbour", s1)
-        start, guess = cli._sweep_guess(1.25, line, s1)
-        assert start == "secant" and np.min(guess.m) == 0.25
-        assert cli._sweep_guess(1.5, [], None) == ("continuation", None)
-        # alphas one subnormal apart: w = inf, and inf * 0 is nan
-        tiny = [(5e-324, s0), (1e-323, s1)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli._sweep_guess(1.0, tiny, s1) == ("neighbour", s1)
 
     def test_low_density_sweep_reaches_one_from_its_neighbours(
             self, tmp_path):

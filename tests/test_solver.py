@@ -1,6 +1,7 @@
 """Newton corrector and continuation driver behavior."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -493,8 +494,23 @@ class TestNewton:
         models = default_models(grid)
         state = models.trivial_state()
         state.m[5] = 1e-9
-        with pytest.raises(ValueError):
+        with pytest.raises(SolverError) as raised:
             newton_solve(state, 0.0, models)
+        assert not isinstance(raised.value, NewtonDivergenceError)
+
+    @pytest.mark.parametrize("field, value", [("u", np.nan), ("m", np.inf)])
+    def test_non_finite_start_rejected_before_any_residual(
+            self, field, value, monkeypatch):
+        models = default_models(TorusGrid(1, 32))
+        state = models.trivial_state()
+        getattr(state, field)[5] = value
+        calls = []
+        monkeypatch.setattr(solver, "residual",
+                            lambda *args: calls.append(args))
+        with pytest.raises(SolverError) as raised:
+            newton_solve(state, 0.0, models)
+        assert type(raised.value) is SolverError
+        assert calls == []
 
     def test_divergence_signalled_when_budget_too_small(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
@@ -703,8 +719,8 @@ class TestContinuation:
         assert len(lines) == len(path.steps)
         for line in lines:
             fields = dict(tok.split("=") for tok in line.split())
-            assert set(fields) == {"lambda", "iters", "residual", "min_m"}
-            float(fields["lambda"]), int(fields["iters"])
+            assert set(fields) == {"lambda", "n", "iters", "residual", "min_m"}
+            float(fields["lambda"]), int(fields["n"]), int(fields["iters"])
             float(fields["residual"]), float(fields["min_m"])
 
     @pytest.mark.parametrize("grid", [TorusGrid(1, 64), TorusGrid(2, 64)])
@@ -784,16 +800,52 @@ class TestGuess:
         assert np.abs(path.final_state.m - cold.m).max() <= 1e-10 * scale
 
     def test_guess_with_density_at_the_floor_is_not_tried(self, monkeypatch):
+        """The guess's solve raises before it evaluates a residual, and the
+        run goes on as the cold one."""
         models = default_models(TorusGrid(1, 64))
         reference = continuation_run(models)
         solution = reference.final_state
         m = solution.m.copy()
         m[7] = solver.MIN_M_FLOOR
         guess = MFGState(solution.grid, solution.u, m, 1.0)
-        calls = self.record_guess_solves(monkeypatch, guess)
+        events = []
+        real_solve, real_residual = solver.newton_solve, solver.residual
+
+        def recorded(init, lam, *args):
+            events.append("guess" if init is guess else "solve")
+            try:
+                return real_solve(init, lam, *args)
+            except SolverError as exc:
+                events.append(type(exc))
+                raise
+
+        def counted(*args):
+            events.append("residual")
+            return real_residual(*args)
+        monkeypatch.setattr(solver, "newton_solve", recorded)
+        monkeypatch.setattr(solver, "residual", counted)
         self.assert_same_path(continuation_run(models, guess=guess),
                               reference)
-        assert calls == []
+        assert events[:3] == ["guess", SolverError, "residual"]
+        assert events.count("guess") == 1
+
+    def test_secant_density_at_the_floor_starts_at_the_neighbour(self):
+        grid = TorusGrid(1, 8)
+        u = np.zeros(8)
+        m0 = np.ones(8)
+        m1 = np.linspace(0.5, 1.5, 8)
+        s0, s1 = MFGState(grid, u, m0, 1.0), MFGState(grid, u, m1, 1.0)
+        line = [(0.5, s0), (1.0, s1)]
+        # the secant to alpha = 1.5 predicts m = 2 m1 - m0, min m = 0
+        assert solver.sweep_guess(1.5, line, s1) == ("neighbour", s1)
+        start, guess = solver.sweep_guess(1.25, line, s1)
+        assert start == "secant" and np.min(guess.m) == 0.25
+        assert solver.sweep_guess(1.5, [], None) == ("continuation", None)
+        # alphas one subnormal apart: w = inf, and inf * 0 is nan
+        tiny = [(5e-324, s0), (1e-323, s1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solver.sweep_guess(1.0, tiny, s1) == ("neighbour", s1)
 
     def test_failed_guess_runs_the_continuation(self, monkeypatch):
         models = default_models(TorusGrid(1, 64))
