@@ -1117,33 +1117,88 @@ class TestTwoLevel:
         return solver._solve_level(coarse_models, RunConfig.newton_tol,
                                    RunConfig.continuation_step_min)[0]
 
-    def test_start_is_the_prolonged_coarse_solution(self, monkeypatch):
+    def test_start_extrapolates_the_two_levels_below(self, monkeypatch):
+        """n = 64 starts at P(x_32) + (P(x_32) - P(x_16)) / 4 from the
+        path's own lam = 1 states, P being `fourier_resample` onto n = 64;
+        n = 32, whose level below is the bottom with no lam = 1 state
+        under it, starts at the plain prolongation P(x_16)."""
         models = default_models(self.FINE)
         steps = self.level_below(models).steps
         assert [s.n for s in steps] == [16, 16, 32]
         assert [s.lam for s in steps] == [0.0, 1.0, 1.0]
-        top_solves = []
+        solves = {32: [], 64: []}
         real = solver.newton_solve
 
         def recorded(init, lam, models, tol, linear):
-            if init.grid == self.FINE:
-                top_solves.append((init, lam, linear, linear.factor))
+            if init.grid.n in solves:
+                solves[init.grid.n].append((init, lam, linear, linear.factor))
             return real(init, lam, models, tol, linear)
         monkeypatch.setattr(solver, "newton_solve", recorded)
         path = continuation_run(models)
-        assert len(top_solves) == 1
-        start, lam, linear, factor = top_solves[0]
-        top = steps[-1].state
-        u, m = fourier_resample(np.stack([top.u, top.m]), top.grid, self.FINE)
+        assert len(solves[32]) == len(solves[64]) == 1
+
+        def prolonged(step, grid):
+            s = step.state
+            return fourier_resample(np.stack([s.u, s.m]), s.grid, grid)
+        start, lam, _, _ = solves[32][0]
+        u, m = prolonged(steps[1], start.grid)
+        assert lam == 1.0 and start.grid == TorusGrid(2, 32)
+        assert np.array_equal(start.u, u) and np.array_equal(start.m, m)
+
+        start, lam, linear, factor = solves[64][0]
+        fine = prolonged(steps[-1], self.FINE)
+        u, m = fine + (fine - prolonged(steps[-2], self.FINE)) / 4
         assert lam == 1.0
         assert start.grid == self.FINE and start.lam == 1.0
         assert np.array_equal(start.u, u) and np.array_equal(start.m, m)
+        assert abs(self.FINE.integrate(start.m) - 1.0) <= 1e-12
         assert linear.grid == self.FINE and factor is None
         assert linear.coarse[0] == TorusGrid(2, 32)
         assert len(path.steps) == len(steps) + 1
         for step, coarse_step in zip(path.steps, steps):
             assert np.array_equal(step.state.u, coarse_step.state.u)
             assert np.array_equal(step.state.m, coarse_step.state.m)
+
+    def test_unusable_extrapolation_falls_back_to_the_prolongation(
+            self, monkeypatch):
+        models = default_models(self.FINE)
+        steps = self.level_below(models).steps
+        fine, quarter = (fourier_resample(np.stack([s.state.u, s.state.m]),
+                                          s.state.grid, self.FINE)
+                         for s in (steps[-1], steps[-2]))
+        extrapolated = fine + (fine - quarter) / 4
+        rejected = []
+        real_usable = solver._usable_start
+
+        def usable(state):
+            if (np.array_equal(state.u, extrapolated[0])
+                    and np.array_equal(state.m, extrapolated[1])):
+                rejected.append(state)
+                return False
+            return real_usable(state)
+        monkeypatch.setattr(solver, "_usable_start", usable)
+        top = record_solves(monkeypatch, 64)
+        path = continuation_run(models)
+        assert len(rejected) == 1
+        assert len(top) == 1
+        start, lam, _ = top[0]
+        assert lam == 1.0
+        assert np.array_equal(start.u, fine[0])
+        assert np.array_equal(start.m, fine[1])
+        assert path.reached_one
+        assert [s.n for s in path.steps] == [16, 16, 32, 64]
+
+    @pytest.mark.parametrize("make_models, iters", [
+        (default_models, [3, 2, 1, 1]),
+        (two_dimensional_models, [3, 2, 1, 1]),
+        # the aliased n = 16 data brings the n = 64 start no closer
+        (high_mode_models, [3, 3, 2, 2]),
+    ])
+    def test_lam_one_newton_iterations_per_level_at_n_128(self, make_models,
+                                                          iters):
+        path = continuation_run(make_models(TorusGrid(2, 128)))
+        assert [s.n for s in path.steps] == [16, 16, 32, 64, 128]
+        assert [s.iters for s in path.steps if s.lam == 1.0] == iters
 
     def test_level_without_a_factor_hands_up_its_cycle(self, monkeypatch):
         """The n = 32 level holds no factor: the level above gets its
