@@ -46,10 +46,10 @@ in fixed chunks (`chunked_matvec`), so a run writes the same bits under
 On 2D grids SuperLU factors J and orders the columns by minimum degree
 on the pattern of A + A^T (PERMC_SPEC).  The Jacobian is a torus stencil
 coupled to itself by stencil blocks, so its pattern is nearly
-structurally symmetric, the case that ordering is made for: at 2D n = 64
-it fills 1.48M entries against 2.74M under SuperLU's default COLAMD
-ordering, which makes the factorization about 4x and each triangular
-solve inside GMRES about 2x cheaper.
+structurally symmetric, the case that ordering is made for: at 2D n = 32
+(low-density runs factor it whole) it fills 225k entries against 415k
+under SuperLU's default COLAMD ordering, which makes the factorization
+about 2.4x and each triangular solve inside GMRES about 2x cheaper.
 
 On 1D grids J is a band matrix once the ring is unfolded: visiting the
 nodes in the order 0, n-1, 1, n-2, 2, ... and interleaving the unknowns
@@ -63,25 +63,25 @@ preconditioned by a held factor.  So SuperLU factors are held and band
 factors never are: a 1D system is factored afresh at every Newton
 iteration.
 
-2D grids with even n and n / 2 >= TWO_LEVEL_MIN_COARSE_N are solved
-from the half-resolution solution (nested iteration, as in Briggs,
-Henson & McCormick, A Multigrid Tutorial, 2000), and that n / 2 grid is
-solved by the same rule: a 2D n = 256 run climbs the ladder n = 16, 32,
-64, 128, 256.  Each coarser level samples a, b and the guess at every
-other point of the level above, and the bottom of the ladder makes at
-most the continuation's first attempt, the whole step from lam = 0 to
-1 (step_min = 1).  A level starts from the n / 2 solution prolonged by
-`fourier_resample`, P(x_{n/2}).  When the n / 2 level itself started
-from its own level below, the path holds lam = 1 states at n / 2 and
-n / 4, whose errors follow the second-order law (observed order 2.008
-at 2D n = 64), and the start is their Richardson extrapolation
-P(x_{n/2}) + (P(x_{n/2}) - P(x_{n/4})) / 4 (Roache, J. Fluids Eng.,
-1994), unless that fails `_usable_start`.  On the default data it
-meets the n = 64 level at residual 5.0e-5 instead of 3.8e-3, and the
-lam = 1 Newton iterations per level at 2D n = 128 are 3, 2, 1, 1
-instead of 3, 2, 2, 2.  The guess comes after the ladder's start on
-each level: a Newton solve from the guess factors that level's
-Jacobian, which the ladder avoids.
+Every 2D grid with n // 2 >= TWO_LEVEL_MIN_COARSE_N is solved from the
+solution on its n // 2 grid (nested iteration, as in Briggs, Henson &
+McCormick, A Multigrid Tutorial, 2000), and that grid is solved by the
+same rule: 2D n = 256 climbs the ladder n = 16, 32, 64, 128, 256, and
+n = 255 climbs 31, 63, 127, 255.  Each coarser level reads a, b and the
+guess from the level above by linear interpolation (`_restrict`), and
+the bottom of the ladder makes at most the continuation's first
+attempt, the whole step from lam = 0 to 1 (step_min = 1).  A level
+starts from the n / 2 solution prolonged by `fourier_resample`,
+P(x_{n/2}).  When the n / 2 level itself started from its own level
+below, the path holds lam = 1 states at n / 2 and n / 4, whose errors
+follow the second-order law (observed order 2.008 at 2D n = 64), and
+the start is their Richardson extrapolation P(x_{n/2}) + (P(x_{n/2}) -
+P(x_{n/4})) / 4 (Roache, J. Fluids Eng., 1994), unless that fails
+`_usable_start`.  On the default data it meets the n = 64 level at
+residual 5.0e-5 instead of 3.8e-3, and the lam = 1 Newton iterations
+per level at 2D n = 128 are 3, 2, 1, 1 instead of 3, 2, 2, 2.  The guess
+comes after the ladder's start on each level: a Newton solve from the
+guess factors that level's Jacobian, which the ladder avoids.
 
 The linear systems of a level above the bottom go through the same
 gated GMRES on the exact Jacobian: its LaggedLU is given the level
@@ -134,10 +134,10 @@ BACKWARD_ERROR_GATE = 1e-10
 # SuperLU column ordering: minimum degree on the pattern of A + A^T
 PERMC_SPEC = "MMD_AT_PLUS_A"
 KRYLOV_MAX_ITERS = 20
-# 2D grids with even n and n / 2 at least this start from the n / 2
-# solution (`_solve_level`), extrapolated with the n / 4 one from
+# 2D grids with n // 2 at least this start from the n // 2 solution
+# (`_solve_level`), extrapolated with the n // 4 one from
 # n = 4 * TWO_LEVEL_MIN_COARSE_N up, down a ladder whose bottom is the
-# first level with odd n or n < 2 * TWO_LEVEL_MIN_COARSE_N
+# first level with n < 2 * TWO_LEVEL_MIN_COARSE_N
 TWO_LEVEL_MIN_COARSE_N = 16
 # block-Jacobi smoothing of `two_grid_cycle`: sweeps before and after the
 # coarse correction, and their damping
@@ -705,19 +705,33 @@ def sweep_guess(alpha: float, line, last):
 
 
 def _has_coarse_level(grid: TorusGrid) -> bool:
-    """Whether `continuation_run` starts `grid` from its n / 2 solution."""
-    return (grid.d == 2 and grid.n % 2 == 0
-            and grid.n // 2 >= TWO_LEVEL_MIN_COARSE_N)
+    """Whether `continuation_run` starts `grid` from its n // 2 solution."""
+    return grid.d == 2 and grid.n // 2 >= TWO_LEVEL_MIN_COARSE_N
+
+
+def _restrict(field, grid: TorusGrid) -> np.ndarray:
+    """`field` on `grid` at the points of its n // 2 grid.
+
+    Per axis, coarse point j interpolates linearly between the fine points
+    floor(j n / n_c) and the next, with convex weights (a positive field
+    stays positive) that are 1 and 0 on even n: the injected values."""
+    i, rem = np.divmod(np.arange(grid.n // 2) * grid.n, grid.n // 2)
+    theta = rem / (grid.n // 2)
+    x = np.broadcast_to(field, (grid.npoints,)).reshape(grid.shape)
+    for _ in range(grid.d):  # interpolate the last axis, then move it first
+        x = np.moveaxis((1 - theta) * x[..., i]
+                        + theta * x[..., (i + 1) % grid.n], -1, 0)
+    return x.ravel()
 
 
 def _solve_level(models: MFGModels, tol: float, step_min: float,
                  guess: MFGState | None = None, log=None):
     """(path, linear solver) of `continuation_run` on the models' grid.
 
-    On a grid with a coarse level, a, b and the guess are sampled at
-    every other point (injection, which keeps the density positive) and
-    the n / 2 level is solved by this same rule, with step_min = 1 when
-    that level has no coarse level of its own (the ladder's bottom).
+    On a grid with a coarse level, a, b and the guess are restricted to
+    it (`_restrict`, which keeps the density positive) and the n // 2
+    level is solved by this same rule, with step_min = 1 when that level
+    has no coarse level of its own (the ladder's bottom).
     The starts are then `_prolonged_start`, which keeps the mass: the
     n / 2 level's lam = 1 state prolonged, or extrapolated with the n / 4
     one where the path holds it (from n = 64 up on the default data,
@@ -732,16 +746,12 @@ def _solve_level(models: MFGModels, tol: float, step_min: float,
     starts = []
     if _has_coarse_level(grid):
         coarse = TorusGrid(grid.d, grid.n // 2)
-        every_other = (slice(None, None, 2),) * grid.d
-
-        def inject(field):
-            return np.broadcast_to(field, (grid.npoints,)).reshape(
-                grid.shape)[every_other].ravel()
         coarse_guess = None if guess is None else replace(
-            guess, grid=coarse, u=inject(guess.u), m=inject(guess.m))
+            guess, grid=coarse, u=_restrict(guess.u, grid),
+            m=_restrict(guess.m, grid))
         below, linear = _solve_level(
-            replace(models, grid=coarse, a=inject(models.a),
-                    b=inject(models.b)),
+            replace(models, grid=coarse, a=_restrict(models.a, grid),
+                    b=_restrict(models.b, grid)),
             tol, step_min if _has_coarse_level(coarse) else 1.0, coarse_guess)
         if below.reached_one and linear.precond is not None:
             starts.append((below.steps, _prolonged_start(below, grid),

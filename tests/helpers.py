@@ -43,20 +43,22 @@ def two_dimensional_models(grid: TorusGrid) -> MFGModels:
     return MFGModels(grid, 1.0, 1.25, a, b)
 
 
-def manufactured_solution(nf: int, gamma: float, alpha: float):
+def manufactured_solution(nf: int, gamma: float, alpha: float,
+                          amplitude: float = 0.5):
     """(u*, m*, b) at the nf points x = j / nf of a 1D solution of the
     lam = 1 system with a = 1, whose potential b is built to fit it
     (method of manufactured solutions; Roache, J. Fluids Eng., 2002).
 
-    m* = 1 + 0.5 cos(2 pi x) and M = (0.5 / 2 pi) sin(2 pi x), so
-    M' = m* - 1, and the density row holds with the flux
-    DpH(Q) m* = J = M - m*' + C.  In 1D DpH(Q) = sign(Q) s with s the
-    optimal speed, so s = |J / m*| and Q = sign(J) gamma' s
+    m* = 1 + A cos(2 pi x), A = `amplitude` < 1, and
+    M = (A / 2 pi) sin(2 pi x), so M' = m* - 1, and the density row holds
+    with the flux DpH(Q) m* = J = M - m*' + C.  In 1D DpH(Q) = sign(Q) s
+    with s the optimal speed, so s = |J / m*| and Q = sign(J) gamma' s
     (1 + s^2)^(gamma'/2 - 1).  C is set by bisection so that
     u*' = m*^alpha Q has mean 0, u* is its mean-free periodic primitive,
     and b = -u* + u*'' - m*^alpha H(Q) + arctan m*.  Derivatives and the
     primitive are taken by FFT, which is exact to rounding for these
-    smooth periodic fields once nf is large (8192 resolves them).
+    smooth periodic fields once nf is large (8192 resolves A = 0.5, and
+    32768 resolves A = 0.99).
     """
     x = np.arange(nf) / nf
     ik = 2j * np.pi * np.fft.rfftfreq(nf, 1.0 / nf)
@@ -64,8 +66,8 @@ def manufactured_solution(nf: int, gamma: float, alpha: float):
     def derivative(f):
         return np.fft.irfft(ik * np.fft.rfft(f), nf)
 
-    m = 1.0 + 0.5 * np.cos(2 * np.pi * x)
-    flux = 0.5 / (2 * np.pi) * np.sin(2 * np.pi * x) - derivative(m)
+    m = 1.0 + amplitude * np.cos(2 * np.pi * x)
+    flux = amplitude / (2 * np.pi) * np.sin(2 * np.pi * x) - derivative(m)
     gp = conjugate_exponent(gamma)
 
     def velocity(c):  # u*' = m*^alpha Q for the flux constant c
@@ -73,7 +75,9 @@ def manufactured_solution(nf: int, gamma: float, alpha: float):
         s = np.abs(J / m)
         return m**alpha * np.sign(J) * gp * s * (1.0 + s * s) ** (0.5 * gp - 1.0)
 
-    lo, hi = -4.0, 4.0  # |flux| < 4, so the mean changes sign in between
+    # u*' has the sign of flux + c, so its mean changes sign in between
+    hi = np.max(np.abs(flux))
+    lo = -hi
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if np.mean(velocity(mid)) < 0.0 else (lo, mid)

@@ -334,3 +334,52 @@ def test_criterion_13_manufactured_solution():
            f"{errors[64][1]:.3e} -> {errors[1024][1]:.3e}, ratios u "
            + " ".join(f"{r:.3f}" for r, _ in ratios) + ", m "
            + " ".join(f"{r:.3f}" for _, r in ratios) + f", in {elapsed:.2f}s")
+
+
+def test_criterion_14_odd_two_dimensional_ladder():
+    # an odd 2D grid climbs the ladder like an even one, its levels read
+    # from the level above by linear interpolation; the x1-only default
+    # data has the 1D solution repeated along x2 as its solution
+    n = 129
+    start = time.perf_counter()
+    path = continuation_run(default_models(TorusGrid(2, n)))
+    elapsed = time.perf_counter() - start
+    assert path.reached_one, f"{path.status}: {path.reason}"
+    reference = continuation_run(default_models(TorusGrid(1, n))).final_state
+    state = path.final_state
+    gaps = [np.max(np.abs(field.reshape(n, n) - ref[:, None]))
+            / np.max(np.abs(ref))
+            for field, ref in ((state.u, reference.u), (state.m, reference.m))]
+    levels = [s.n for s in path.steps]
+    ok = levels == [16, 16, 32, 64, 129] and max(gaps) <= 1e-10
+    report(14, "odd 2D grid on the ladder, 2D n=129 against 1D", ok,
+           f"levels {levels}, relative gap u {gaps[0]:.3e} m {gaps[1]:.3e}, "
+           f"in {elapsed:.2f}s")
+
+
+def test_criterion_15_low_density_manufactured_solution():
+    # a known solution with min m* = 0.01 (m* = 1 + 0.99 cos, gamma 1.5,
+    # alpha 0.25): every refinement reaches lam = 1 and both max-norm
+    # errors fall at every doubling; the ratios are pre-asymptotic, so
+    # they have no band
+    nf, sizes, gamma, alpha = 32768, (64, 128, 256, 512, 1024, 2048), 1.5, 0.25
+    start = time.perf_counter()
+    u_star, m_star, b = manufactured_solution(nf, gamma, alpha, 0.99)
+    errors = {}
+    for n in sizes:
+        grid = TorusGrid(1, n)
+        path = continuation_run(
+            MFGModels(grid, alpha, gamma, np.ones(n), b[::nf // n]))
+        assert path.reached_one, f"n={n}: {path.status}: {path.reason}"
+        state = path.final_state
+        errors[n] = (float(np.max(np.abs(state.u - u_star[::nf // n]))),
+                     float(np.max(np.abs(state.m - m_star[::nf // n]))))
+    elapsed = time.perf_counter() - start
+    ratios = [(errors[n // 2][0] / errors[n][0], errors[n // 2][1] / errors[n][1])
+              for n in sizes[1:]]
+    ok = all(r > 1.0 for pair in ratios for r in pair) and elapsed < 3.0
+    report(15, "low-density manufactured solution, 1D errors fall", ok,
+           f"errors in u {errors[64][0]:.3e} -> {errors[2048][0]:.3e}, in m "
+           f"{errors[64][1]:.3e} -> {errors[2048][1]:.3e}, ratios u "
+           + " ".join(f"{r:.3f}" for r, _ in ratios) + ", m "
+           + " ".join(f"{r:.3f}" for _, r in ratios) + f", in {elapsed:.2f}s")

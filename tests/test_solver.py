@@ -9,8 +9,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
-from helpers import (default_models, high_mode_models, low_density_models,
-                     smooth_field, two_dimensional_models)
+from helpers import (assert_same_bits, default_models, high_mode_models,
+                     low_density_models, smooth_field, two_dimensional_models)
 from mfglab import solver, system
 from mfglab.config import RunConfig
 from mfglab.grid import TorusGrid
@@ -935,8 +935,8 @@ class TestGuess:
         assert np.abs(path.final_state.u - cold.u).max() <= 1e-10 * scale
         assert np.abs(path.final_state.m - cold.m).max() <= 1e-10 * scale
 
-    # odd n, and an even n whose half is below TWO_LEVEL_MIN_COARSE_N
-    @pytest.mark.parametrize("n", [33, 30])
+    # n // 2 below TWO_LEVEL_MIN_COARSE_N, for an odd and an even n
+    @pytest.mark.parametrize("n", [31, 30])
     def test_single_level_2d_grid_tries_the_guess(self, n, monkeypatch):
         grid = TorusGrid(2, n)
         guess = continuation_run(default_models(grid, alpha=0.5)).final_state
@@ -1346,6 +1346,25 @@ class TestTwoLevel:
                                        self.FINE, coarse)
             assert np.array_equal(cycle(r), expected)
 
+    def test_odd_grid_climbs_from_the_bottom(self, monkeypatch):
+        """2D n = 33 takes n // 2 = 16 as its level below, restricted by
+        linear interpolation, and holds no factor above it."""
+        grid = TorusGrid(2, 33)
+        models = default_models(grid)
+        direct = solver._continue(models, RunConfig.newton_tol,
+                                  RunConfig.continuation_step_min,
+                                  LaggedLU(grid))
+        assert direct.reached_one
+        calls = count_factorizations(monkeypatch)
+        path = continuation_run(models)
+        assert calls == [(2 * 16**2, 2 * 16**2)]
+        assert path.reached_one and path.lambdas == [0.0, 1.0, 1.0]
+        assert [s.n for s in path.steps] == [16, 16, 33]
+        final, ref = path.final_state, direct.final_state
+        scale = max(np.abs(ref.u).max(), np.abs(ref.m).max())
+        assert np.abs(final.u - ref.u).max() <= 1e-10 * scale
+        assert np.abs(final.m - ref.m).max() <= 1e-10 * scale
+
     def test_gate_miss_refactors_the_fine_jacobian(self, monkeypatch):
         # one Krylov iteration misses the gate on every grid
         monkeypatch.setattr(solver, "KRYLOV_MAX_ITERS", 1)
@@ -1356,6 +1375,39 @@ class TestTwoLevel:
         assert [s.n for s in path.steps] == [16, 16, 32, 64]
         assert (2 * 64**2, 2 * 64**2) in calls
         assert residual(path.final_state, models).sup_norm < 1e-10
+
+
+class TestRestrict:
+    """`solver._restrict`: a ladder level's a, b and guess, read from the
+    level above by linear interpolation at the coarse points."""
+
+    @pytest.mark.parametrize("n", [32, 64, 130])
+    def test_even_n_is_injection_bit_for_bit(self, n):
+        grid, coarse = TorusGrid(2, n), TorusGrid(2, n // 2)
+        field = np.random.default_rng(17).standard_normal(grid.npoints)
+        assert_same_bits(solver._restrict(field, grid),
+                         field.reshape(grid.shape)[::2, ::2].ravel())
+
+    @pytest.mark.parametrize("n", [33, 65, 127])
+    def test_odd_n_keeps_a_positive_field_above_its_minimum(self, n):
+        grid, coarse = TorusGrid(2, n), TorusGrid(2, n // 2)
+        m = 1.0 + np.random.default_rng(18).random(grid.shape)
+        # a fine point between two coarse ones, read with weight near 1/3
+        i = 2 * (coarse.n // 3) + 1
+        m[i, i] = 1e-12
+        out = solver._restrict(m.ravel(), grid)
+        assert out.shape == (coarse.npoints,)
+        assert np.min(out) >= np.min(m) > 0.0
+
+    def test_odd_n_reads_a_smooth_field_to_second_order(self):
+        """The error at the coarse points falls about 4x per doubling."""
+        errors = []
+        for n in (33, 65, 129):
+            grid, coarse = TorusGrid(2, n), TorusGrid(2, n // 2)
+            field = TestFourierResample.polynomial(grid)
+            errors.append(np.abs(solver._restrict(field, grid)
+                                 - TestFourierResample.polynomial(coarse)).max())
+        assert all(3.5 <= e0 / e1 <= 4.5 for e0, e1 in zip(errors, errors[1:]))
 
 
 def reference_cycle(matrix, coarse_solve, r, fine, coarse):
