@@ -242,6 +242,10 @@ def jacobian_template(grid: TorusGrid) -> JacobianTemplate:
     entry the block formula can reach, so it does not change with the
     state; entries whose value happens to vanish stay in it as explicit
     zeros.
+
+    The build holds its final arrays, written in place, plus one row
+    block's sort temporaries (the argsort of its int32 columns and
+    their int8 ranks); every index array is int32.
     """
     import scipy.sparse as sp
 
@@ -249,14 +253,11 @@ def jacobian_template(grid: TorusGrid) -> JacobianTemplate:
     base = _stencil(lambda f: f - grid.laplacian(f), grid)
     grad_steps = [_stencil(lambda f: grid.gradient(f)[:, ax], grid)
                   for ax in range(d)]
-    idx = np.arange(N).reshape(grid.shape)
-    shifts = {}
+    idx = np.arange(N, dtype=np.int32).reshape(grid.shape)
 
     def shifted(step):
         """Index of x + step, for every grid point x."""
-        if step not in shifts:
-            shifts[step] = np.roll(idx, [-a for a in step], range(d)).ravel()
-        return shifts[step]
+        return np.roll(idx, [-a for a in step], range(d)).ravel()
 
     def plus(s1, s2):
         return tuple((a + b) % n for a, b in zip(s1, s2))
@@ -275,37 +276,50 @@ def jacobian_template(grid: TorusGrid) -> JacobianTemplate:
             m_terms += [(0, plus(s1, s2), hess + i * d + j, s1, -w1 * w2)
                         for s1, w1 in gi for s2, w2 in gj]
 
-    indices, indptr, consts = [], [], []
-    by_coef = [[] for _ in range(d * d + 2 * d + 1)]
-    nnz = 0
-    for terms in (u_terms, m_terms):
-        slots = {key: k for k, key in enumerate(dict.fromkeys(t[:2] for t in terms))}
-        width = len(slots)
-        cols = np.stack([blk * N + shifted(s) for blk, s in slots], axis=1)
-        order = np.argsort(cols, axis=1)
-        rank = np.empty(order.shape, dtype=np.int32)
-        np.put_along_axis(rank, order, np.arange(width), axis=1)
-        pos = nnz + width * np.arange(N, dtype=np.int32)[:, None] + rank
-        indices.append(np.take_along_axis(cols, order, axis=1).ravel())
-        indptr.append(nnz + width * np.arange(N))
-        for blk, s, coef, cs, w in terms:
-            at = pos[:, slots[blk, s]]
-            if coef < 0:
-                consts.append((at, w))
-            else:  # position of the entry each coefficient point feeds
-                by_coef[coef].append((at[shifted(tuple(-a % n for a in cs))], w))
-        nnz += width * N
+    # column k * N + j of the map holds, in term order, the entries that
+    # coefficient k at point j feeds
+    ncoef = transport + d
+    fed = np.bincount([t[2] for t in u_terms + m_terms if t[2] >= 0], minlength=ncoef)
+    col_ptr = np.zeros(ncoef * N + 1, dtype=np.int32)
+    np.cumsum(np.repeat(fed.astype(np.int32), N), dtype=np.int32, out=col_ptr[1:])
+    rows = np.empty(col_ptr[-1], dtype=np.int32)
+    vals = np.empty(col_ptr[-1])
+    filled = [0] * ncoef  # terms written so far, per coefficient
+    blocks = [(terms, {key: k for k, key in
+                       enumerate(dict.fromkeys(t[:2] for t in terms))})
+              for terms in (u_terms, m_terms)]
+    nnz = N * sum(len(slots) for _, slots in blocks)
+    indptr = np.empty(2 * N + 1, dtype=np.int32)
+    indptr[-1] = nnz
+    indices = np.empty(nnz, dtype=np.int32)
     data0 = np.zeros(nnz)
-    for at, w in consts:
-        data0[at] = w
-    rows = np.concatenate([np.stack([at for at, _ in e], axis=1).ravel()
-                           for e in by_coef])
-    vals = np.concatenate([np.tile([w for _, w in e], N) for e in by_coef])
-    col_ptr = np.append(0, np.cumsum(np.repeat([len(e) for e in by_coef], N)))
-    coef_map = sp.csc_matrix((vals, rows, col_ptr), shape=(nnz, len(by_coef) * N))
-    template = JacobianTemplate(np.append(np.concatenate(indptr), nnz).astype(np.int32),
-                                np.concatenate(indices).astype(np.int32), data0,
-                                coef_map)
+    start = 0
+    for r, (terms, slots) in enumerate(blocks):
+        width = len(slots)
+        first = start + width * np.arange(N, dtype=np.int32)  # each row's first entry
+        indptr[r * N:(r + 1) * N] = first
+        cols = indices[start:start + width * N].reshape(N, width)
+        for (blk, s), k in slots.items():
+            cols[:, k] = blk * N + shifted(s)
+        order = np.argsort(cols, axis=1)
+        rank = np.empty((N, width), dtype=np.int8)  # place of each slot in its row
+        np.put_along_axis(rank, order, np.arange(width, dtype=np.int8), axis=1)
+        del order
+        cols.sort(axis=1)
+        for blk, s, coef, cs, w in terms:
+            at = first + rank[:, slots[blk, s]]
+            if coef < 0:
+                data0[at] = w
+                continue
+            block = slice(col_ptr[coef * N], col_ptr[(coef + 1) * N])
+            t, filled[coef] = filled[coef], filled[coef] + 1
+            # position of the entry each coefficient point feeds
+            rows[block].reshape(N, -1)[:, t] = at[shifted(tuple(-a % n for a in cs))]
+            vals[block].reshape(N, -1)[:, t] = w
+        del rank
+        start += width * N
+    coef_map = sp.csc_matrix((vals, rows, col_ptr), shape=(nnz, ncoef * N))
+    template = JacobianTemplate(indptr, indices, data0, coef_map)
     for arr in (template.indptr, template.indices, template.data0,
                 coef_map.data, coef_map.indices, coef_map.indptr):
         arr.flags.writeable = False  # shared by every assembly on the grid

@@ -310,12 +310,11 @@ def test_criterion_12_low_density_refinement():
            f"{moments[256]:.5g} {moments[512]:.5g} {moments[1024]:.5g}")
 
 
-def test_criterion_13_manufactured_solution():
-    # a known solution of the lam = 1 system (gamma 1.5, alpha 0.25, a = 1,
-    # min m* = 0.5): the max-norm errors in u and m fall 4x per doubling
-    nf, sizes, gamma, alpha = 8192, (64, 128, 256, 512, 1024), 1.5, 0.25
-    start = time.perf_counter()
-    u_star, m_star, b = manufactured_solution(nf, gamma, alpha)
+def manufactured_errors(nf, sizes, gamma, alpha, amplitude=0.5):
+    """Max-norm errors in u and m of the 1D solves at each n in `sizes` of
+    `manufactured_solution(nf, gamma, alpha, amplitude)`, and their ratios
+    per doubling; every solve must reach lam = 1."""
+    u_star, m_star, b = manufactured_solution(nf, gamma, alpha, amplitude)
     errors = {}
     for n in sizes:
         grid = TorusGrid(1, n)
@@ -325,15 +324,28 @@ def test_criterion_13_manufactured_solution():
         state = path.final_state
         errors[n] = (float(np.max(np.abs(state.u - u_star[::nf // n]))),
                      float(np.max(np.abs(state.m - m_star[::nf // n]))))
-    elapsed = time.perf_counter() - start
     ratios = [(errors[n // 2][0] / errors[n][0], errors[n // 2][1] / errors[n][1])
               for n in sizes[1:]]
+    return errors, ratios
+
+
+def refinement_detail(errors, ratios, elapsed):
+    first, last = min(errors), max(errors)
+    return (f"errors in u {errors[first][0]:.3e} -> {errors[last][0]:.3e}, in m "
+            f"{errors[first][1]:.3e} -> {errors[last][1]:.3e}, ratios u "
+            + " ".join(f"{r:.3f}" for r, _ in ratios) + ", m "
+            + " ".join(f"{r:.3f}" for _, r in ratios) + f", in {elapsed:.2f}s")
+
+
+def test_criterion_13_manufactured_solution():
+    # a known solution of the lam = 1 system (gamma 1.5, alpha 0.25, a = 1,
+    # min m* = 0.5): the max-norm errors in u and m fall 4x per doubling
+    start = time.perf_counter()
+    errors, ratios = manufactured_errors(8192, (64, 128, 256, 512, 1024), 1.5, 0.25)
+    elapsed = time.perf_counter() - start
     ok = all(3.6 <= r <= 4.4 for pair in ratios for r in pair) and elapsed < 3.0
     report(13, "manufactured solution, 1D second-order convergence", ok,
-           f"errors in u {errors[64][0]:.3e} -> {errors[1024][0]:.3e}, in m "
-           f"{errors[64][1]:.3e} -> {errors[1024][1]:.3e}, ratios u "
-           + " ".join(f"{r:.3f}" for r, _ in ratios) + ", m "
-           + " ".join(f"{r:.3f}" for _, r in ratios) + f", in {elapsed:.2f}s")
+           refinement_detail(errors, ratios, elapsed))
 
 
 def test_criterion_14_odd_two_dimensional_ladder():
@@ -362,24 +374,25 @@ def test_criterion_15_low_density_manufactured_solution():
     # alpha 0.25): every refinement reaches lam = 1 and both max-norm
     # errors fall at every doubling; the ratios are pre-asymptotic, so
     # they have no band
-    nf, sizes, gamma, alpha = 32768, (64, 128, 256, 512, 1024, 2048), 1.5, 0.25
     start = time.perf_counter()
-    u_star, m_star, b = manufactured_solution(nf, gamma, alpha, 0.99)
-    errors = {}
-    for n in sizes:
-        grid = TorusGrid(1, n)
-        path = continuation_run(
-            MFGModels(grid, alpha, gamma, np.ones(n), b[::nf // n]))
-        assert path.reached_one, f"n={n}: {path.status}: {path.reason}"
-        state = path.final_state
-        errors[n] = (float(np.max(np.abs(state.u - u_star[::nf // n]))),
-                     float(np.max(np.abs(state.m - m_star[::nf // n]))))
+    errors, ratios = manufactured_errors(
+        32768, (64, 128, 256, 512, 1024, 2048), 1.5, 0.25, 0.99)
     elapsed = time.perf_counter() - start
-    ratios = [(errors[n // 2][0] / errors[n][0], errors[n // 2][1] / errors[n][1])
-              for n in sizes[1:]]
     ok = all(r > 1.0 for pair in ratios for r in pair) and elapsed < 3.0
     report(15, "low-density manufactured solution, 1D errors fall", ok,
-           f"errors in u {errors[64][0]:.3e} -> {errors[2048][0]:.3e}, in m "
-           f"{errors[64][1]:.3e} -> {errors[2048][1]:.3e}, ratios u "
-           + " ".join(f"{r:.3f}" for r, _ in ratios) + ", m "
-           + " ".join(f"{r:.3f}" for _, r in ratios) + f", in {elapsed:.2f}s")
+           refinement_detail(errors, ratios, elapsed))
+
+
+def test_criterion_16_lowest_density_manufactured_solution():
+    # a known solution with min m* = 0.001 in the low-density regime
+    # (m* = 1 + 0.999 cos, gamma 1.9, alpha 0.02): every refinement
+    # reaches lam = 1 and both max-norm errors fall at every doubling
+    # (u 1.39 -> 1.61e-2, m 6.9e-3 -> 3.9e-5); the ratios are
+    # pre-asymptotic, so they have no band
+    start = time.perf_counter()
+    errors, ratios = manufactured_errors(
+        32768, (128, 256, 512, 1024, 2048, 4096), 1.9, 0.02, 0.999)
+    elapsed = time.perf_counter() - start
+    ok = all(r > 1.0 for pair in ratios for r in pair) and elapsed < 3.0
+    report(16, "lowest-density manufactured solution, 1D errors fall", ok,
+           refinement_detail(errors, ratios, elapsed))

@@ -1,6 +1,7 @@
 """Residual, Jacobian, and bilinear form of the coupled system."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,33 @@ class TestJacobianTemplate:
         assert np.array_equal(carried.data, fresh.data)
         assert np.array_equal(carried.indices, fresh.indices)
         assert np.array_equal(carried.indptr, fresh.indptr)
+
+    @pytest.mark.parametrize("grid", [TorusGrid(2, 128), TorusGrid(2, 256),
+                                      TorusGrid(1, 4096)],
+                             ids=["2D n=128", "2D n=256", "1D n=4096"])
+    def test_build_peak_is_bounded(self, grid):
+        # the build holds its final arrays plus one row block's sort
+        # temporaries; `__wrapped__` neither reads nor fills the shared
+        # cache, and scipy.sparse is imported at module level, so its
+        # import is not traced
+        tracemalloc.start()
+        try:
+            template = jacobian_template.__wrapped__(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(arr.nbytes for arr in (
+            template.indptr, template.indices, template.data0,
+            template.coef_map.data, template.coef_map.indices,
+            template.coef_map.indptr))
+        assert peak <= 1.75 * kept, f"peak {peak / kept:.2f}x the kept bytes"
+
+    @pytest.mark.parametrize("grid", [TorusGrid(1, 16), TorusGrid(2, 8)])
+    def test_index_arrays_are_int32(self, grid):
+        template = jacobian_template(grid)
+        for arr in (template.indptr, template.indices,
+                    template.coef_map.indices, template.coef_map.indptr):
+            assert arr.dtype == np.int32
 
 
 class TestBilinearForm:
