@@ -28,17 +28,20 @@ again, and `linearize` builds one without the residual.  The
 Jacobian's sparsity pattern depends on the grid alone:
 `jacobian_template` computes it once per grid from the stencils of the
 grid operators themselves (so residual and Jacobian share one
-calculus), with the data of the two I - lap blocks and a sparse map S
-from the stacked coefficients c = (DpH, density coupling,
-m^(1-alpha) DppH, W) to the matrix data, so an assembly is
-data = data0 + S c.  Entries whose value vanishes at a state stay in
-the pattern as explicit zeros.  `jacobian_template` and
-`assemble_jacobian` are the only code here that needs scipy, and they
-import it when first called: the residual, the linearization and the
-bilinear form run on numpy alone.  As in :mod:`mfglab.hamiltonian`, no
-per-point code broadcasts over a length-d axis or calls einsum: every
-component of Q, W, the flux and the contractions is computed from
-length-N vectors.
+calculus), and keeps, besides the pattern, only the stencil sums that
+fill it: per row block the I - lap weight of each stencil slot and the
+slot's reads of the coefficient fields c = (DpH, density coupling,
+m^(1-alpha) DppH, W) at shifted points, and the moves that sort the
+rows where a step wraps.  An assembly sums each slot's weighted,
+shifted coefficient fields over all points in one grid-sized line, a
+batch of slots at a time, and copies each batch into the slots'
+entries of every row.  Entries whose value vanishes at a state stay in
+the pattern as explicit zeros.  `assemble_jacobian` is the only code
+here that needs scipy, and it imports it when first called: the
+residual, the linearization, the template and the bilinear form run on
+numpy alone.  As in :mod:`mfglab.hamiltonian`, no per-point code
+broadcasts over a length-d axis or calls einsum: every component of Q,
+W, the flux and the contractions is computed from length-N vectors.
 
 The monotonicity test used to certify uniqueness is the form
 B[w, w] = integrate( f row1 - v row2 ) of the linearization, w = (v, f).
@@ -55,16 +58,17 @@ in m, B[w, w] <= 0 with equality only for f = 0 and grad(v) = 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-# scipy.sparse is imported inside the two functions that build a matrix,
-# `jacobian_template` and `assemble_jacobian`, so that commands which
-# never build one (`validate`, `audit`) start without loading scipy
+# scipy.sparse is imported inside `assemble_jacobian`, the one function
+# that builds a matrix, so that commands which never build one
+# (`validate`, `audit`) start without loading scipy
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -198,43 +202,77 @@ def residual(state: MFGState, models: MFGModels) -> ResidualPair:
     return ResidualPair(r_u, r_m, lin)
 
 
+class RowBlock(NamedTuple):
+    """One row block of the Jacobian, its u-rows or its m-rows, as stencil sums.
+
+    Each row of the block has one entry per slot, a (column block, column
+    step) pair that the block's terms reach.  The slots are numbered in
+    the order of their columns at a point where no step wraps, which is
+    lexicographic (column block, step) order.  A slot's sums at all
+    points are made in one flat line of scratch with the shape `line`:
+    the grid's, padded like the fields the block reads along every axis
+    but the first, so that each read is one contiguous slice of a flat
+    field.  `sums[slot]` lists the slot's reads (field, at, weight,
+    where) in summation order, that is by field and then by point; a
+    read adds weight times the flat field at `at` to the line, where
+    `where` is True.  `const[slot]` is the slot's weight of I - lap,
+    0.0 where it has none, and is added last.
+    """
+
+    const: tuple[float, ...]
+    sums: tuple
+    line: tuple[int, ...]
+
+
 @dataclass(frozen=True, eq=False)
 class JacobianTemplate:
-    """CSR pattern of the Jacobian on one grid and the map onto its data.
+    """CSR pattern of the Jacobian on one grid and the stencil sums of its data.
 
-    The Jacobian's data at a state is data0 + coef_map @ c, where c stacks
-    N-vectors of pointwise coefficients: DpH[:, ax] for each axis, the
-    density coupling, m^(1-alpha) DppH[:, i, j] for each (i, j) in
-    row-major order, and W[:, ax] for each axis.  data0 holds the two
-    I - lap blocks; column k of coef_map lists the entries c[k] feeds.
+    The coefficient fields c_k are, in order, DpH[:, ax] for each axis,
+    the density coupling, m^(1-alpha) DppH[:, i, j] for each (i, j) in
+    row-major order, and W[:, ax] for each axis.  DpH and the coupling
+    are read at the row's own point.  The fields from the first DppH on
+    are read at shifted points, from a box with `ghost` periodic ghost
+    layers on each side of each axis, and are scaled in the box by
+    `scale`, the magnitude that all their weights share, so that their
+    reads only add or subtract.  The u-rows and the m-rows are the two
+    `blocks`.  An entry sums weight * c_k(x + step) over its terms from
+    +0.0, in the order (coefficient field, point), and then adds its
+    constant.  The entries of a row are written in slot order, which is
+    sorted column order wherever no step wraps; `moves` then carries
+    each entry of the other rows from its slot position, moves[1], to
+    its sorted position, moves[0].
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    data0: np.ndarray
-    coef_map: sp.csc_matrix
+    moves: np.ndarray
+    ghost: int
+    scale: np.ndarray
+    blocks: tuple[RowBlock, RowBlock]
 
 
 def _stencil(op, grid: TorusGrid):
     """(step, weight) of each term of a translation-invariant grid operator.
 
-    A step is the offset (mod n, per axis) from a point to the point its
-    weight reads.  The response to a unit impulse at point 0 is column 0
-    of the operator, which holds every row's weight for step s at the
-    point -s.
+    A step is the signed offset per axis, in (-n/2, n/2], from a point
+    to the point its weight reads.  The response to a unit impulse at
+    point 0 is column 0 of the operator, which holds every row's weight
+    for step s at the point -s.
     """
     impulse = np.zeros(grid.npoints)
     impulse[0] = 1.0
     column = op(impulse)
     at = np.flatnonzero(column)
     steps = zip(*np.unravel_index(at, grid.shape))
-    return [(tuple(int(-a % grid.n) for a in step), float(w))
+    n = grid.n
+    return [(tuple(-a if 2 * a < n else n - a for a in map(int, step)), float(w))
             for step, w in zip(steps, column[at])]
 
 
 @lru_cache(maxsize=8)
 def jacobian_template(grid: TorusGrid) -> JacobianTemplate:
-    """Pattern and coefficient map of `assemble_jacobian` on a grid.
+    """Pattern and stencil sums of `assemble_jacobian` on a grid.
 
     Every block is a sum of stencil terms, so the blocks are described
     once by the steps and weights of the grid's I - lap and gradient
@@ -243,30 +281,32 @@ def jacobian_template(grid: TorusGrid) -> JacobianTemplate:
     state; entries whose value happens to vanish stay in it as explicit
     zeros.
 
-    The build holds its final arrays, written in place, plus one row
-    block's sort temporaries (the argsort of its int32 columns and
-    their int8 ranks); every index array is int32.
-    """
-    import scipy.sparse as sp
+    One field feeds one slot at most twice, by the reads at x - e and
+    x + e of a DppH diagonal.  Where such a pair follows other reads,
+    its order matters and flips where a step wraps, so the pair is three
+    reads: x + a where it comes first, x + b, and x + a elsewhere.
 
+    The template keeps the int32 `indptr` and `indices`, the moves of
+    the entries of the rows where a step wraps (those rows are the only
+    ones sorted; the moves are intp, numpy's index type, which it would
+    otherwise convert to on every assembly), and a bool mask per point
+    for each such pair.  Besides these, the build holds a few N-vectors
+    at a time.
+    """
     N, d, n = grid.npoints, grid.d, grid.n
     base = _stencil(lambda f: f - grid.laplacian(f), grid)
     grad_steps = [_stencil(lambda f: grid.gradient(f)[:, ax], grid)
                   for ax in range(d)]
     idx = np.arange(N, dtype=np.int32).reshape(grid.shape)
 
-    def shifted(step):
-        """Index of x + step, for every grid point x."""
-        return np.roll(idx, [-a for a in step], range(d)).ravel()
-
     def plus(s1, s2):
-        return tuple((a + b) % n for a, b in zip(s1, s2))
+        return tuple(a + b for a, b in zip(s1, s2))
 
     # the terms of the u-rows and of the m-rows, each (column block: 0 for
-    # u, 1 for m; column step; coefficient block of c, -1 for a constant;
-    # step from the row point to the coefficient's point; weight)
+    # u, 1 for m; column step; coefficient field, -1 for a constant; step
+    # from the row point to the coefficient's point; weight)
     zero = (0,) * d
-    hess, transport = d + 1, d * d + d + 1  # first DppH and W blocks of c
+    hess, transport = d + 1, d * d + d + 1  # first DppH and W fields
     u_terms = [(0, s, -1, zero, w) for s, w in base] + [(1, zero, d, zero, 1.0)]
     m_terms = [(1, s, -1, zero, w) for s, w in base]
     for i, gi in enumerate(grad_steps):
@@ -276,54 +316,127 @@ def jacobian_template(grid: TorusGrid) -> JacobianTemplate:
             m_terms += [(0, plus(s1, s2), hess + i * d + j, s1, -w1 * w2)
                         for s1, w1 in gi for s2, w2 in gj]
 
-    # column k * N + j of the map holds, in term order, the entries that
-    # coefficient k at point j feeds
-    ncoef = transport + d
-    fed = np.bincount([t[2] for t in u_terms + m_terms if t[2] >= 0], minlength=ncoef)
-    col_ptr = np.zeros(ncoef * N + 1, dtype=np.int32)
-    np.cumsum(np.repeat(fed.astype(np.int32), N), dtype=np.int32, out=col_ptr[1:])
-    rows = np.empty(col_ptr[-1], dtype=np.int32)
-    vals = np.empty(col_ptr[-1])
-    filled = [0] * ncoef  # terms written so far, per coefficient
-    blocks = [(terms, {key: k for k, key in
-                       enumerate(dict.fromkeys(t[:2] for t in terms))})
-              for terms in (u_terms, m_terms)]
-    nnz = N * sum(len(slots) for _, slots in blocks)
+    boxed = [t for t in u_terms + m_terms if t[2] >= hess]
+    ghost = max(abs(a) for t in boxed for a in t[3])
+    magnitudes = sorted({(coef, abs(w)) for _, _, coef, _, w in boxed})
+    if len(magnitudes) != transport + d - hess:
+        raise ValueError("the weights of a shifted field differ in magnitude")
+    scale = np.reshape([w for _, w in magnitudes], (-1, 1))
+    box = (n + 2 * ghost,) * d
+    line = (n,) + box[1:]  # a line of scratch for sums of shifted fields
+    span = int(np.ravel_multi_index((n - 1,) * d, line)) + 1
+
+    def read(coef, step, w, where=True):
+        """The read of w times field `coef` at x + step, where `where`."""
+        if coef < hess:  # in place, at the row's own point
+            return coef, slice(0, N), w, where
+        at = int(np.ravel_multi_index(tuple(ghost + a for a in step), box))
+        return coef, slice(at, at + span), math.copysign(1.0, w), where
+
+    def in_point_order(coef, read_a, read_b):
+        """The reads of the field at x + a and at x + b, in point order.
+
+        The first axis on which the steps differ decides the order.
+        """
+        (a, wa), (b, wb) = read_a, read_b
+        ax = next(ax for ax, (p, q) in enumerate(zip(a, b)) if p != q)
+        x = np.arange(n)
+        along = [1] * d
+        along[ax] = n
+        a_first = np.zeros(line, dtype=bool)
+        a_first[(slice(None),) + (slice(0, n),) * (d - 1)] = (
+            ((x + a[ax]) % n < (x + b[ax]) % n).reshape(along))
+        a_first = a_first.ravel()[:span]
+        return [read(coef, a, wa, a_first), read(coef, b, wb), read(coef, a, wa, ~a_first)]
+
+    widths = [len({t[:2] for t in terms}) for terms in (u_terms, m_terms)]
+    nnz = N * sum(widths)
     indptr = np.empty(2 * N + 1, dtype=np.int32)
     indptr[-1] = nnz
     indices = np.empty(nnz, dtype=np.int32)
-    data0 = np.zeros(nnz)
+    blocks, moves = [], []
     start = 0
-    for r, (terms, slots) in enumerate(blocks):
-        width = len(slots)
+    for r, (terms, width) in enumerate(zip((u_terms, m_terms), widths)):
+        slots = sorted({t[:2] for t in terms})
         first = start + width * np.arange(N, dtype=np.int32)  # each row's first entry
         indptr[r * N:(r + 1) * N] = first
         cols = indices[start:start + width * N].reshape(N, width)
-        for (blk, s), k in slots.items():
-            cols[:, k] = blk * N + shifted(s)
-        order = np.argsort(cols, axis=1)
-        rank = np.empty((N, width), dtype=np.int8)  # place of each slot in its row
-        np.put_along_axis(rank, order, np.arange(width, dtype=np.int8), axis=1)
-        del order
-        cols.sort(axis=1)
-        for blk, s, coef, cs, w in terms:
-            at = first + rank[:, slots[blk, s]]
+        for k, (blk, s) in enumerate(slots):
+            cols[:, k] = blk * N + np.roll(idx, [-a for a in s], range(d)).ravel()
+        wraps = np.zeros(N, dtype=bool)
+        for k in range(1, width):
+            wraps |= cols[:, k] < cols[:, k - 1]
+        rows = np.flatnonzero(wraps)
+        order = np.argsort(cols[rows], axis=1)
+        cols[rows] = np.take_along_axis(cols[rows], order, axis=1)
+        to, source = first[rows, None] + np.arange(width), first[rows, None] + order
+        moved = to != source
+        moves.append(np.stack([to[moved], source[moved]]).astype(np.intp))
+
+        place = {slot: k for k, slot in enumerate(slots)}
+        const = [0.0] * width
+        reads = [[] for _ in slots]
+        for blk, s, coef, cs, w in sorted(terms, key=lambda t: t[2:4]):
             if coef < 0:
-                data0[at] = w
-                continue
-            block = slice(col_ptr[coef * N], col_ptr[(coef + 1) * N])
-            t, filled[coef] = filled[coef], filled[coef] + 1
-            # position of the entry each coefficient point feeds
-            rows[block].reshape(N, -1)[:, t] = at[shifted(tuple(-a % n for a in cs))]
-            vals[block].reshape(N, -1)[:, t] = w
-        del rank
+                const[place[blk, s]] = w
+            else:
+                reads[place[blk, s]].append((coef, cs, w))
+        sums = []
+        for slot_reads in reads:
+            slot_sums = []
+            for coef, group in itertools.groupby(slot_reads, key=lambda t: t[0]):
+                group = [(cs, w) for _, cs, w in group]
+                if len(group) == 2 and slot_sums:  # the pair's point order matters
+                    slot_sums += in_point_order(coef, *group)
+                else:
+                    slot_sums += [read(coef, cs, w) for cs, w in group]
+            sums.append(tuple(slot_sums))
+        shifted = any(t[2] >= hess for t in terms)  # the m-rows; the u-rows read none
+        blocks.append(RowBlock(tuple(const), tuple(sums), line if shifted else grid.shape))
         start += width * N
-    coef_map = sp.csc_matrix((vals, rows, col_ptr), shape=(nnz, ncoef * N))
-    template = JacobianTemplate(indptr, indices, data0, coef_map)
-    for arr in (template.indptr, template.indices, template.data0,
-                coef_map.data, coef_map.indices, coef_map.indptr):
+    template = JacobianTemplate(indptr, indices, np.concatenate(moves, axis=1),
+                                ghost, scale, tuple(blocks))
+    masks = [where for block in blocks for reads in block.sums
+             for *_, where in reads if where is not True]
+    for arr in (template.indptr, template.indices, template.moves, scale, *masks):
         arr.flags.writeable = False  # shared by every assembly on the grid
     return template
+
+
+def _sum_slots(block: RowBlock, fields, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write each slot's sum into `out`, the block's data viewed as the
+    grid shape + (slot,), made a batch of slots at a time in `scratch`.
+
+    Each slot's sum is made in its own line of scratch, and each batch of
+    lines is then copied into its slots of every row.
+    """
+    n, width = out.shape[0], out.shape[-1]
+    size = math.prod(block.line)
+    span = size - (block.line[-1] - n)  # the last line's padding is not read
+    interior = (slice(None),) + tuple(slice(0, n) for _ in block.line)
+    to_slots = (*range(1, out.ndim), 0)
+    batch = scratch.size // size
+    for lo in range(0, width, batch):
+        hi = min(lo + batch, width)
+        lines = scratch[:(hi - lo) * size].reshape(hi - lo, size)
+        for sums, const, reads in zip(lines, block.const[lo:hi], block.sums[lo:hi]):
+            sums = sums[:span]
+            if not reads:
+                sums.fill(const)
+                continue
+            field, at, w, _ = reads[0]
+            if len(reads) == 1 and abs(w) == 1.0:  # const +- the field
+                (np.add if w > 0 else np.subtract)(const, fields[field][at], out=sums)
+                continue
+            np.multiply(fields[field][at], w, out=sums)
+            for field, at, w, where in reads[1:]:
+                term = fields[field][at]
+                if w == -1.0:
+                    np.subtract(sums, term, out=sums, where=where)
+                else:
+                    np.add(sums, term if w == 1.0 else term * w, out=sums, where=where)
+            np.add(sums, const, out=sums)
+        out[..., lo:hi] = lines.reshape((hi - lo,) + block.line)[interior].transpose(to_slots)
 
 
 def assemble_jacobian(lin: Linearization) -> sp.csr_matrix:
@@ -334,22 +447,42 @@ def assemble_jacobian(lin: Linearization) -> sp.csr_matrix:
                         dmu = -div( m^(1-alpha) DppH grad . )
                         dmm = I - lap - div( W . )
 
-    at the state of `lin`, filled into the grid's cached
-    `jacobian_template`.
+    at the state of `lin`, summed on the grid's cached
+    `jacobian_template`.  The m-rows' sums are made in the u-rows' data,
+    which is not yet written, and the u-rows', which read no shifted
+    field, in a scratch of their own once the box of the shifted fields
+    is freed, so the scratch never adds to the box.  The entries of the
+    rows where a step wraps then move to their sorted places.
     """
     import scipy.sparse as sp
 
-    N, d = lin.grid.npoints, lin.grid.d
-    template = jacobian_template(lin.grid)
-    hess, transport = d + 1, d * d + d + 1  # first DppH and W rows of coef
-    coef = np.empty((transport + d, N))
-    coef[:d] = lin.ev.DpH.T
-    coef[d] = lin.density_coupling
-    for i in range(d):
-        for j in range(d):
-            np.multiply(lin.m_scale, lin.ev.DppH[:, i, j], out=coef[hess + i * d + j])
-    coef[transport:] = lin.W.T
-    data = template.data0 + template.coef_map @ coef.ravel()
+    grid = lin.grid
+    N, d, shape = grid.npoints, grid.d, grid.shape
+    template = jacobian_template(grid)
+    g = template.ghost
+    # the shifted fields, m^(1-alpha) DppH and W, in one box with ghost layers
+    box = np.empty((d * d + d,) + (grid.n + 2 * g,) * d)
+    inner = box[(slice(None),) + (slice(g, g + grid.n),) * d]
+    dpph = lin.ev.DppH.reshape(N, d * d)
+    for k in range(d * d):  # one component at a time: a broadcast over all is slower
+        np.multiply(lin.m_scale.reshape(shape), dpph[:, k].reshape(shape), out=inner[k])
+    inner[d * d:] = lin.W.T.reshape((d,) + shape)
+    for ax in range(1, d + 1):
+        lead = (slice(None),) * ax
+        box[lead + (slice(None, g),)] = box[lead + (slice(-2 * g, -g),)]
+        box[lead + (slice(-g, None),)] = box[lead + (slice(g, 2 * g),)]
+    flat = box.reshape(len(box), -1)
+    flat *= template.scale
+    fields = [*lin.ev.DpH.T, lin.density_coupling, *flat]
+    u_rows, m_rows = template.blocks
+    data = np.empty(template.indices.size)
+    u_data = data[:len(u_rows.const) * N]
+    _sum_slots(m_rows, fields, data[u_data.size:].reshape(shape + (len(m_rows.const),)),
+               u_data)
+    del fields[d + 1:], box, inner, flat
+    _sum_slots(u_rows, fields, u_data.reshape(shape + (len(u_rows.const),)),
+               np.empty(u_data.size))
+    data[template.moves[0]] = data[template.moves[1]]
     return sp.csr_matrix((data, template.indices, template.indptr),
                          shape=(2 * N, 2 * N))
 

@@ -203,11 +203,56 @@ def reference_linearization(state, models):
 
 
 def reference_jacobian_coefficients(lin):
-    """The stacked coefficients c that `assemble_jacobian` maps to data."""
+    """The stacked coefficient fields c that the Jacobian's data is
+    linear in: DpH[:, ax], the density coupling, m^(1-alpha) DppH[:, i, j]
+    in row-major (i, j) order and W[:, ax], each a length-N block."""
     N, d = lin.grid.npoints, lin.grid.d
     hess = (lin.m_scale[:, None, None] * lin.ev.DppH).reshape(N, d * d)
     return np.concatenate([lin.ev.DpH.T.ravel(), lin.density_coupling,
                            hess.T.ravel(), lin.W.T.ravel()])
+
+
+def reference_jacobian_entries(lin):
+    """The Jacobian's entries {(row, column): value}, each summed by a loop.
+
+    Each contribution is weight * c_k[p], with c from
+    `reference_jacobian_coefficients` and the weights read off the dense
+    matrices of the grid operators.  An entry sums its contributions from
+    +0.0 in (coefficient field k, point p) order and then adds its
+    I - lap weight, or 0.0 where it has none.
+    """
+    grid = lin.grid
+    N, d = grid.npoints, grid.d
+    c = reference_jacobian_coefficients(lin).reshape(-1, N)
+    hess, transport = d + 1, d * d + d + 1  # first DppH and W fields
+    eye = np.eye(N)
+    grads = [np.stack([grid.gradient(e)[:, ax] for e in eye], axis=1) for ax in range(d)]
+    base = eye - np.stack([grid.laplacian(e) for e in eye], axis=1)
+    terms = {}
+
+    def add(row, col, k, p, weight):
+        terms.setdefault((row, col), []).append((k, p, weight))
+
+    for x in range(N):
+        add(x, N + x, d, x, 1.0)                                    # density coupling
+        for i, gi in enumerate(grads):
+            for y in np.flatnonzero(gi[x]):
+                add(x, y, i, x, gi[x, y])                           # DpH . grad
+                add(N + x, N + y, transport + i, y, -gi[x, y])      # -div(W .)
+                for j, gj in enumerate(grads):                      # -div(m^(1-a) DppH grad .)
+                    for z in np.flatnonzero(gj[y]):
+                        add(N + x, z, hess + i * d + j, y, -(gi[x, y] * gj[y, z]))
+    for x, y in zip(*np.nonzero(base)):
+        terms.setdefault((x, y), [])
+        terms.setdefault((N + x, N + y), [])
+    entries = {}
+    for (row, col), contributions in terms.items():
+        total = 0.0
+        for k, p, weight in sorted(contributions, key=lambda t: t[:2]):
+            total += weight * c[k, p]
+        const = base[row % N, col % N] if (row < N) == (col < N) else 0.0
+        entries[row, col] = total + const
+    return entries
 
 
 def reference_bilinear_form(lin, v, f):
